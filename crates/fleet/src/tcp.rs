@@ -8,23 +8,36 @@
 //! response frame, in order; the peer closing between frames ends the
 //! conversation cleanly.
 //!
+//! **Invariant: every frame leaves in one write on a `TCP_NODELAY`
+//! socket.** [`write_frame`] hands the prefix and the payload to one
+//! vectored write, and both ends of a connection disable Nagle's
+//! algorithm. A request/response protocol is write-write-read: with the
+//! prefix and payload as two writes on a Nagle socket, the second write
+//! waits for the ACK of the first, and the peer delays that ACK (about
+//! 40 ms on Linux) because it has nothing to send yet — so every round
+//! trip would stall on the delayed-ACK clock instead of the handler.
+//!
 //! Deliberately std-only and blocking. [`TcpFront::run`] serves one
 //! connection at a time; [`TcpFront::run_concurrent`] puts the
 //! [`crate::Dispatcher`] thread pool behind the front — one lightweight
 //! thread per live connection feeding a fixed pool of handler workers —
-//! so multiple connections are served simultaneously. The framing
-//! guards both sides with [`MAX_FRAME`] so a corrupt or hostile length
-//! prefix cannot drive an unbounded allocation.
+//! so multiple connections are served simultaneously, and a failed
+//! accept is counted and retried rather than ending the loop. The
+//! framing guards both sides with [`MAX_FRAME`], and [`read_frame`]
+//! grows its buffer only as payload bytes arrive, so a corrupt or
+//! hostile length prefix cannot drive an unbounded allocation.
 //!
 //! The front is instrumented as an access log: a connection gauge
-//! (`twm_fleet_connections`) plus frame/byte/error counters in the
-//! [`twm_obs::global`] registry, and — with the trace gate on —
-//! per-connection spans carrying per-frame events with byte counts and
-//! error outcomes.
+//! (`twm_fleet_connections`) plus frame/byte/error and accept-error
+//! counters in the [`twm_obs::global`] registry, and — with the trace
+//! gate on — per-connection spans carrying per-frame events with byte
+//! counts and error outcomes.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
+use std::thread::Scope;
+use std::time::Duration;
 
 use twm_obs::{Counter, Gauge};
 
@@ -46,6 +59,8 @@ struct FrontObs {
     bytes_out: Counter,
     /// Frames whose payload failed to decode as a [`Request`].
     frame_errors: Counter,
+    /// Failed `accept` calls survived by [`TcpFront::run_concurrent`].
+    accept_errors: Counter,
 }
 
 fn front_obs() -> &'static FrontObs {
@@ -59,6 +74,7 @@ fn front_obs() -> &'static FrontObs {
             bytes_in: registry.counter("twm_fleet_frame_bytes_in_total", &[]),
             bytes_out: registry.counter("twm_fleet_frame_bytes_out_total", &[]),
             frame_errors: registry.counter("twm_fleet_frame_errors_total", &[]),
+            accept_errors: registry.counter("twm_fleet_accept_errors_total", &[]),
         }
     })
 }
@@ -68,7 +84,18 @@ fn front_obs() -> &'static FrontObs {
 /// it is treated as a malformed stream, not an allocation request.
 pub const MAX_FRAME: usize = 1 << 30;
 
-/// Writes one length-prefixed frame.
+/// How far [`read_frame`] lets its buffer run ahead of the payload bytes
+/// actually received: one chunk (64 KiB), so a length prefix alone can
+/// never reserve more than that.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// The pause after a failed `accept` in [`TcpFront::run_concurrent`], so
+/// a persistent error (say, out of file descriptors) cannot spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Writes one length-prefixed frame as a single vectored write (looping
+/// only on short writes), so the prefix and the payload leave together
+/// without copying the payload into a prefixed buffer.
 ///
 /// # Errors
 ///
@@ -81,15 +108,30 @@ pub fn write_frame<W: Write + ?Sized>(writer: &mut W, payload: &[u8]) -> Result<
             payload.len()
         )));
     }
-    let len = u32::try_from(payload.len()).expect("MAX_FRAME fits u32");
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    let len = u32::try_from(payload.len())
+        .expect("MAX_FRAME fits u32")
+        .to_le_bytes();
+    let mut slices = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => return Err(FleetError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(count) => IoSlice::advance_slices(&mut unsent, count),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FleetError::Io(e)),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on a clean end-of-stream
 /// (the peer closed between frames).
+///
+/// The payload buffer grows one 64 KiB chunk at a time as bytes arrive,
+/// so its capacity never exceeds the bytes received plus one chunk, nor
+/// the declared length: a prefix that lies costs at most one chunk, and
+/// a large legitimate frame carries no doubling slack.
 ///
 /// # Errors
 ///
@@ -108,7 +150,7 @@ pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, F
                 ))
             }
             Ok(count) => filled += count,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FleetError::Io(e)),
         }
     }
@@ -118,14 +160,23 @@ pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, F
             "frame length {len} exceeds the {MAX_FRAME}-byte bound"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FleetError::Wire("stream ended inside a frame's payload".into())
-        } else {
-            FleetError::Io(e)
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let received = payload.len();
+        let chunk = (len - received).min(READ_CHUNK);
+        payload.reserve_exact(chunk);
+        payload.resize(received + chunk, 0);
+        match reader.read(&mut payload[received..]) {
+            Ok(0) => {
+                return Err(FleetError::Wire(
+                    "stream ended inside a frame's payload".into(),
+                ))
+            }
+            Ok(count) => payload.truncate(received + count),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => payload.truncate(received),
+            Err(e) => return Err(FleetError::Io(e)),
         }
-    })?;
+    }
     Ok(Some(payload))
 }
 
@@ -180,12 +231,14 @@ impl TcpFront {
     }
 
     /// The shared conversation loop: decode, handle (in-process or
-    /// through a dispatcher pool), respond — logging every frame.
+    /// through a dispatcher pool), respond — logging every frame. Every
+    /// accepted stream passes through here, which turns Nagle off on it.
     fn serve_stream(
         &self,
         mut stream: TcpStream,
         dispatcher: Option<&Dispatcher>,
     ) -> Result<(), FleetError> {
+        stream.set_nodelay(true)?;
         let obs = front_obs();
         obs.connections.incr();
         obs.connections_total.incr();
@@ -260,20 +313,43 @@ impl TcpFront {
     /// one lightweight thread per live connection owns its stream's
     /// framing, so slow or held-open peers never block each other.
     ///
+    /// A failed accept is counted in `twm_fleet_accept_errors_total`
+    /// and retried after a short pause; it never ends the loop.
+    ///
     /// # Errors
     ///
-    /// The first accept failure (after every live connection drains).
-    /// Per-connection conversation failures end only that connection.
+    /// None: the loop does not return. Per-connection conversation
+    /// failures end only that connection.
     pub fn run_concurrent(&self, workers: usize) -> Result<(), FleetError> {
         let dispatcher = Dispatcher::new(Arc::clone(&self.service), workers);
         std::thread::scope(|scope| loop {
-            let (stream, _) = self.listener.accept()?;
-            let dispatcher = &dispatcher;
-            scope.spawn(move || {
-                // A peer hanging up mid-frame is that peer's problem.
-                let _ = self.serve_stream(stream, Some(dispatcher));
+            self.accept_next(scope, &dispatcher, || {
+                self.listener.accept().map(|(stream, _)| stream)
             });
         })
+    }
+
+    /// One turn of [`TcpFront::run_concurrent`]'s loop: a stream from
+    /// `accept` is served on its own scoped thread; a failure is counted
+    /// and backed off.
+    fn accept_next<'scope, 'env>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        dispatcher: &'env Dispatcher,
+        accept: impl FnOnce() -> io::Result<TcpStream>,
+    ) {
+        match accept() {
+            Ok(stream) => {
+                scope.spawn(move || {
+                    // A peer hanging up mid-frame is that peer's problem.
+                    let _ = self.serve_stream(stream, Some(dispatcher));
+                });
+            }
+            Err(_) => {
+                front_obs().accept_errors.incr();
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+        }
     }
 
     /// Accepts exactly `connections` connections and serves them
@@ -322,15 +398,16 @@ pub struct FleetClient {
 }
 
 impl FleetClient {
-    /// Connects to a front.
+    /// Connects to a front, with Nagle's algorithm off (see the module
+    /// docs).
     ///
     /// # Errors
     ///
     /// [`FleetError::Io`] when the connect fails.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, FleetError> {
-        Ok(Self {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Self { stream })
     }
 
     /// Sends one request and blocks for its response.
@@ -373,5 +450,142 @@ mod tests {
         let giant = (u32::try_from(MAX_FRAME).unwrap() + 1).to_le_bytes();
         let mut reader = &giant[..];
         assert!(matches!(read_frame(&mut reader), Err(FleetError::Wire(_))));
+    }
+
+    /// Counts every write call, vectored or not, and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            bufs.iter()
+                .for_each(|buf| self.bytes.extend_from_slice(buf));
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write_call() {
+        let mut writer = CountingWriter::default();
+        write_frame(&mut writer, b"hello").unwrap();
+        assert_eq!(writer.calls, 1);
+        write_frame(&mut writer, b"").unwrap();
+        assert_eq!(writer.calls, 2);
+        let mut reader = writer.bytes.as_slice();
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
+    }
+
+    /// Accepts at most three bytes per call, splitting prefix and payload.
+    struct TrickleWriter(Vec<u8>);
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let count = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..count]);
+            Ok(count)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let mut writer = TrickleWriter(Vec::new());
+        write_frame(&mut writer, b"hello, fleet").unwrap();
+        let mut reader = writer.0.as_slice();
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"hello, fleet");
+    }
+
+    /// Serves `bytes` in reads of at most `step`, asserting that
+    /// `read_frame` never offers a buffer longer than one chunk.
+    struct ChunkCheckingReader<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for ChunkCheckingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(buf.len() <= READ_CHUNK, "offered {} bytes", buf.len());
+            let count = buf.len().min(self.step).min(self.bytes.len());
+            buf[..count].copy_from_slice(&self.bytes[..count]);
+            self.bytes = &self.bytes[count..];
+            Ok(count)
+        }
+    }
+
+    #[test]
+    fn read_buffers_grow_with_the_bytes_received() {
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 17).map(|i| i as u8).collect();
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &payload).unwrap();
+        for step in [1000, READ_CHUNK, usize::MAX] {
+            let mut reader = ChunkCheckingReader {
+                bytes: &stream,
+                step,
+            };
+            let read = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(read, payload);
+            assert_eq!(read.capacity(), payload.len(), "no slack past the frame");
+        }
+
+        // A prefix claiming 512 MiB, then EOF: a typed error, not a
+        // 512 MiB allocation.
+        let liar = u32::try_from(512usize << 20).unwrap().to_le_bytes();
+        let mut reader = ChunkCheckingReader {
+            bytes: &liar,
+            step: usize::MAX,
+        };
+        assert!(matches!(read_frame(&mut reader), Err(FleetError::Wire(_))));
+    }
+
+    fn loopback_front() -> (TcpFront, Arc<FleetService>) {
+        let service = Arc::new(FleetService::with_defaults().unwrap());
+        let front = TcpFront::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
+        (front, service)
+    }
+
+    #[test]
+    fn client_streams_have_nagle_off() {
+        let (front, _) = loopback_front();
+        let client = FleetClient::connect(front.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn accept_errors_are_counted_and_the_loop_keeps_serving() {
+        let (front, service) = loopback_front();
+        let addr = front.local_addr().unwrap();
+        let dispatcher = Dispatcher::new(service, 1);
+        let errors = front_obs().accept_errors.get();
+        let client = std::thread::spawn(move || {
+            let mut client = FleetClient::connect(addr).unwrap();
+            client.request(&Request::ListShards).unwrap()
+        });
+        std::thread::scope(|scope| {
+            front.accept_next(scope, &dispatcher, || Err(io::Error::other("injected")));
+            front.accept_next(scope, &dispatcher, || {
+                front.listener.accept().map(|(stream, _)| stream)
+            });
+        });
+        assert_eq!(client.join().unwrap(), Response::Shards(Vec::new()));
+        assert_eq!(front_obs().accept_errors.get(), errors + 1);
     }
 }

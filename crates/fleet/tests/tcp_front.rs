@@ -3,13 +3,14 @@
 //! shard demoted to its spill file keeps diagnosing bit-identically.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use twm_bist::run_scheme_session_staged;
 use twm_core::scheme::{SchemeId, SchemeRegistry};
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, UniverseBuilder};
 use twm_fleet::{
-    DeviceReport, DeviceVerdict, FleetClient, FleetConfig, FleetService, Request, Response,
-    ShardKey, SignatureDictionary, SignatureTrail, SpillConfig, StoreOptions, TcpFront,
+    DeviceReport, DeviceVerdict, Dispatcher, FleetClient, FleetConfig, FleetService, Request,
+    Response, ShardKey, SignatureDictionary, SignatureTrail, SpillConfig, StoreOptions, TcpFront,
 };
 use twm_march::algorithms::{march_c_minus, mats_plus};
 use twm_march::MarchTest;
@@ -109,6 +110,47 @@ fn loopback_round_trip_matches_in_process_handling() {
     assert_eq!(stats.devices, 2);
     drop(client);
     server.join().unwrap().unwrap();
+}
+
+/// Median of 50 sequential `Statistics` round trips on one connection.
+fn median_round_trip(addr: std::net::SocketAddr) -> Duration {
+    let mut client = FleetClient::connect(addr).unwrap();
+    let mut trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let response = client.request(&Request::Statistics).unwrap();
+            assert!(matches!(response, Response::Statistics(_)));
+            start.elapsed()
+        })
+        .collect();
+    trips.sort();
+    trips[trips.len() / 2]
+}
+
+/// Regression: small request/response frames must not wait on the
+/// peer's delayed ACK (about 40 ms per round trip with Nagle on and the
+/// frame split over two writes), on either serving path.
+#[test]
+fn small_round_trips_do_not_wait_for_delayed_acks() {
+    let bound = Duration::from_millis(10);
+    let service = Arc::new(FleetService::new(FleetConfig::default()).unwrap());
+
+    let front = TcpFront::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let addr = front.local_addr().unwrap();
+    let server = std::thread::spawn(move || front.accept_one());
+    let median = median_round_trip(addr);
+    server.join().unwrap().unwrap();
+    assert!(median < bound, "accept_one median round trip {median:?}");
+
+    let front = TcpFront::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let addr = front.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let dispatcher = Dispatcher::new(service, 2);
+        front.accept_pooled(&dispatcher, 1)
+    });
+    let median = median_round_trip(addr);
+    server.join().unwrap().unwrap();
+    assert!(median < bound, "accept_pooled median round trip {median:?}");
 }
 
 /// A malformed request frame is answered with `Response::Error` and the
