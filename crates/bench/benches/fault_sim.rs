@@ -9,9 +9,9 @@
 //!   (faults/second) across the word widths of Table 3, on a ≥ 2000-fault
 //!   universe — the experiment behind the paper's Section 5 at production
 //!   scale;
-//! * arena reuse versus fresh-per-fault memories on the 64K-word sweep —
-//!   the A/B behind the `CoverageEngine`'s pooled
-//!   [`twm_mem::FaultyMemory`] arenas and block-copy content restore;
+//! * the `CoverageEngine`'s fault-local arena path (pooled
+//!   [`twm_mem::FaultyMemory`] arenas, block-copy content restore) on
+//!   memories up to 64K words, serial and on the persistent worker pool;
 //! * the bit-parallel 64-lane batched kernel versus the scalar
 //!   one-execution-per-fault baseline (`lane_batching(false)`) on SAF/TF
 //!   universes — the A/B behind [`twm_mem::PackedArena`].
@@ -173,14 +173,11 @@ fn bench_evaluator(c: &mut Criterion) {
     group.finish();
 }
 
-/// Engine-redesign A/B on the 64K-word sweep: the arena path (pooled
-/// memories re-armed per fault, block-copy content restore, fault-local
-/// footprint sweeps via `detect_lowered_at`) versus the complete
-/// historical PR 1 evaluation path (`memory_reuse(false)`: fresh
-/// `FaultyMemory` per fault, word-by-word restore, full-address sweep).
-/// The footprint sweep dominates the gap at large memories; the arena
-/// eliminates the per-fault allocation on top. Reports are bit-identical;
-/// only the faults/second differ.
+/// The engine's arena path on memories up to 64K words: pooled memories
+/// re-armed per fault, block-copy content restore and fault-local
+/// footprint sweeps via `detect_lowered_at`, timed serially (`arena`) and
+/// on a 4-thread engine whose window workers persist across reports
+/// (`persistent_pool`). The two reports are asserted identical first.
 fn bench_engine_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_reuse");
     group.sample_size(10);
@@ -203,59 +200,21 @@ fn bench_engine_reuse(c: &mut Criterion) {
             .options(options)
             .build()
             .unwrap();
-        let fresh = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .memory_reuse(false)
-            .build()
-            .unwrap();
-        assert_eq!(
-            arena.report(&faults).unwrap(),
-            fresh.report(&faults).unwrap(),
-            "modes must stay bit-identical"
-        );
-        group.throughput(Throughput::Elements(faults.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("fresh_per_fault", words),
-            &config,
-            |b, _| {
-                b.iter(|| fresh.report(black_box(&faults)).unwrap());
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("arena", words), &config, |b, _| {
-            b.iter(|| arena.report(black_box(&faults)).unwrap());
-        });
-
-        // Persistent-worker-pool A/B: identical parallel engines, one
-        // keeping its window workers alive across reports (`thread_reuse`,
-        // the default), one spawning scoped threads per window (the
-        // historical behaviour). Reports are bit-identical; only thread
-        // creation overhead differs.
         let pooled = CoverageEngine::builder(config)
             .test(&test)
             .options(options)
             .strategy(Strategy::Parallel { threads: 4 })
             .build()
             .unwrap();
-        let spawning = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .thread_reuse(false)
-            .build()
-            .unwrap();
         assert_eq!(
+            arena.report(&faults).unwrap(),
             pooled.report(&faults).unwrap(),
-            spawning.report(&faults).unwrap(),
-            "thread modes must stay bit-identical"
+            "strategies must stay bit-identical"
         );
-        group.bench_with_input(
-            BenchmarkId::new("spawn_per_window", words),
-            &config,
-            |b, _| {
-                b.iter(|| spawning.report(black_box(&faults)).unwrap());
-            },
-        );
+        group.throughput(Throughput::Elements(faults.len() as u64));
+        group.bench_with_input(BenchmarkId::new("arena", words), &config, |b, _| {
+            b.iter(|| arena.report(black_box(&faults)).unwrap());
+        });
         group.bench_with_input(
             BenchmarkId::new("persistent_pool", words),
             &config,
@@ -318,76 +277,12 @@ fn bench_lane_packing(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cheap-first universe ordering A/B: `CoverageEngine::report` on a
-/// deterministically shuffled mixed universe (all five fault classes, so
-/// 1-word SAF/TF runs interleave with 2-word coupling runs), with the
-/// default cheap-first scheduling versus strict in-order evaluation
-/// (`schedule_cheap_first(false)`). Reports are bit-identical; only the
-/// per-window thread balance can differ.
-///
-/// All-zero content keeps the per-fault work footprint-dominated (no
-/// per-run image restore), the search inner loop's shape. The thread
-/// count is pinned (4) so the scheduled path engages even where
-/// `available_parallelism` probes low; on a single-core host both sides
-/// necessarily time-share and the A/B reads as parity — the group then
-/// still guards the scheduling against regressing throughput.
-fn bench_universe_ordering(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-
-    let mut group = c.benchmark_group("universe_ordering");
-    group.sample_size(10);
-    let test = march_c_minus();
-    for &words in &[1usize << 6, 1 << 10] {
-        let config = MemoryConfig::new(words, WIDTH).unwrap();
-        let mut faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(400, 7)
-            .build();
-        // Shuffle so every streaming window mixes cheap and expensive
-        // faults — the adversarial case for contiguous per-thread chunks.
-        faults.shuffle(&mut StdRng::seed_from_u64(23));
-        let options = EvaluationOptions {
-            content: ContentPolicy::Zeros,
-            contents_per_fault: 1,
-        };
-        let cheap_first = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .build()
-            .unwrap();
-        let in_order = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .schedule_cheap_first(false)
-            .build()
-            .unwrap();
-        assert_eq!(
-            cheap_first.report(&faults).unwrap(),
-            in_order.report(&faults).unwrap(),
-            "scheduling must stay bit-identical"
-        );
-        group.throughput(Throughput::Elements(faults.len() as u64));
-        group.bench_with_input(BenchmarkId::new("in_order", words), &config, |b, _| {
-            b.iter(|| in_order.report(black_box(&faults)).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("cheap_first", words), &config, |b, _| {
-            b.iter(|| cheap_first.report(black_box(&faults)).unwrap());
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_single_write,
     bench_execution_scaling,
     bench_evaluator,
     bench_engine_reuse,
-    bench_lane_packing,
-    bench_universe_ordering
+    bench_lane_packing
 );
 criterion_main!(benches);

@@ -64,9 +64,7 @@ use crate::pool::WorkerPool;
 use serde::{Deserialize, Serialize};
 
 use twm_bist::flow::run_transparent_session;
-use twm_bist::{
-    detect_lowered_at, detect_lowered_batch, execute_lowered, ExecutionOptions, LoweredTest, Misr,
-};
+use twm_bist::{detect_lowered_at, detect_lowered_batch, LoweredTest, Misr};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
 use twm_march::MarchTest;
 use twm_mem::{
@@ -157,9 +155,6 @@ pub struct CoverageEngineBuilder {
     transform: Option<SchemeTransform>,
     options: EvaluationOptions,
     strategy: Strategy,
-    reuse_memory: bool,
-    cheap_first: bool,
-    reuse_threads: bool,
     lane_batching: bool,
 }
 
@@ -233,61 +228,6 @@ impl CoverageEngineBuilder {
         self
     }
 
-    /// Whether workers re-arm pooled [`FaultyMemory`] arenas instead of
-    /// building a fresh memory per fault (default: `true`).
-    ///
-    /// Disabling this restores the **complete** historical (pre-engine)
-    /// evaluation path, not just the allocation behaviour: a fresh memory
-    /// per fault, word-by-word content restore, and a full-address sweep
-    /// per run (the arena path sweeps only the fault's footprint words via
-    /// [`twm_bist::detect_lowered_at`], which is the dominant saving on
-    /// large memories). It exists as the A/B baseline for the
-    /// `engine_reuse` benchmark and produces bit-identical reports either
-    /// way (property-tested).
-    #[must_use]
-    pub fn memory_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_memory = reuse;
-        self
-    }
-
-    /// Whether [`CoverageEngine::report`] may evaluate cheap-to-detect
-    /// faults first (default: `true`).
-    ///
-    /// The parallel streaming windows split each window into contiguous
-    /// per-thread chunks; on a mixed universe an unlucky chunk of wide-
-    /// footprint coupling faults stalls the whole window barrier. With this
-    /// enabled, `report` evaluates the universe in ascending estimated-cost
-    /// order (fault-local sweep footprint, then fault class) and merges the
-    /// verdicts back into **universe order**, so the produced report stays
-    /// bit-identical either way — only the wall-clock differs (measured in
-    /// the `universe_ordering` group of `benches/fault_sim.rs`). Streaming
-    /// [`CoverageEngine::verdicts`] is never reordered.
-    #[must_use]
-    pub fn schedule_cheap_first(mut self, cheap_first: bool) -> Self {
-        self.cheap_first = cheap_first;
-        self
-    }
-
-    /// Whether parallel streaming windows run on a **persistent** worker
-    /// pool instead of spawning fresh scoped threads per window (default:
-    /// `true`).
-    ///
-    /// The pool is created lazily on the first parallel window, holds
-    /// `threads − 1` workers (the calling thread evaluates one chunk
-    /// itself), and is shared with every [`CoverageEngine::with_test`]
-    /// sibling — so candidate-scoring loops pay thread creation once, not
-    /// once per candidate per window. Verdicts stay merged in window order
-    /// either way, so reports are **bit-identical** for both settings
-    /// (property-tested in `tests/engine_streaming.rs`); only wall-clock
-    /// differs (A/B-measured in the `engine_reuse` group of
-    /// `benches/fault_sim.rs`). Disabling restores the historical
-    /// spawn-per-window behaviour as the A/B baseline.
-    #[must_use]
-    pub fn thread_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_threads = reuse;
-        self
-    }
-
     /// Whether [`CoverageEngine::report`] may evaluate single-bit faults
     /// in bit-parallel lane batches (default: `true`).
     ///
@@ -301,11 +241,9 @@ impl CoverageEngineBuilder {
     /// `tests/packed_equivalence.rs`); only the wall-clock differs
     /// (A/B-measured in the `lane_packing` group of
     /// `benches/fault_sim.rs`). Streaming [`CoverageEngine::verdicts`] and
-    /// [`CoverageEngine::compare`] never batch. Disabling restores the
-    /// one-fault-per-execution behaviour as the A/B baseline; batching is
-    /// also bypassed when [`CoverageEngineBuilder::schedule_cheap_first`]
-    /// or [`CoverageEngineBuilder::memory_reuse`] are disabled, since those
-    /// knobs pin the historical evaluation paths.
+    /// [`CoverageEngine::compare`] never batch. Disabling keeps `report`
+    /// on the scalar fault-local path, one march execution per fault —
+    /// the oracle the packed-equivalence tests compare against.
     #[must_use]
     pub fn lane_batching(mut self, batching: bool) -> Self {
         self.lane_batching = batching;
@@ -327,20 +265,15 @@ impl CoverageEngineBuilder {
         let threads = self.strategy.worker_threads()?;
         let lowered =
             LoweredTest::new(&test, self.config.width()).map_err(twm_bist::BistError::from)?;
-        let (content_words, content_images) =
-            prepared_contents(self.config, self.options, self.reuse_memory);
+        let content_images = prepared_contents(self.config, self.options);
         Ok(CoverageEngine {
             config: self.config,
             test,
             transform: self.transform,
             lowered,
             options: self.options,
-            content_words: Arc::new(content_words),
             content_images: Arc::new(content_images),
             threads,
-            reuse_memory: self.reuse_memory,
-            cheap_first: self.cheap_first,
-            reuse_threads: self.reuse_threads,
             lane_batching: self.lane_batching,
             pool: Mutex::new(Vec::new()),
             #[cfg(feature = "parallel")]
@@ -353,33 +286,24 @@ impl CoverageEngineBuilder {
 
 /// The initial contents every fault-injection run starts from: one content
 /// per round for the random policy, or none for the all-zero policy (a
-/// reset memory is already zeroed). A content is kept in the form its
-/// engine mode restores from — raw [`BitStorage`] images for the arena
-/// path (O(blocks) copies via [`FaultyMemory::load_image`]) or word
-/// vectors for the historical fresh-per-fault path (word-by-word
-/// [`FaultyMemory::load`]); the unused form is never materialised.
+/// reset memory is already zeroed). Each content is a raw [`BitStorage`]
+/// image, restored with O(blocks) copies via [`FaultyMemory::load_image`].
 ///
 /// Generated through [`FaultyMemory::fill_random`] itself so shared
 /// contents can never drift from what a per-fault fill would produce.
 pub(crate) fn prepared_contents(
     config: MemoryConfig,
     options: EvaluationOptions,
-    as_images: bool,
-) -> (Vec<Vec<Word>>, Vec<BitStorage>) {
-    let mut words = Vec::new();
+) -> Vec<BitStorage> {
     let mut images = Vec::new();
     if let ContentPolicy::Random { seed } = options.content {
         let mut scratch = FaultyMemory::fault_free(config);
         for round in 0..options.contents_per_fault.max(1) {
             scratch.fill_random(seed.wrapping_add(round as u64));
-            if as_images {
-                images.push(scratch.snapshot());
-            } else {
-                words.push(scratch.content());
-            }
+            images.push(scratch.snapshot());
         }
     }
-    (words, images)
+    images
 }
 
 /// Number of faults pulled from the universe per worker thread per
@@ -480,17 +404,11 @@ pub struct CoverageEngine {
     transform: Option<SchemeTransform>,
     lowered: LoweredTest,
     options: EvaluationOptions,
-    /// Initial contents as word vectors — populated only in the historical
-    /// fresh-per-fault mode, which restores word by word. Shared (`Arc`) so
+    /// Initial contents as raw storage images, restored with block copies
+    /// (see [`prepared_contents`]). Shared (`Arc`) so
     /// [`CoverageEngine::with_test`] siblings reuse one generation.
-    content_words: Arc<Vec<Vec<Word>>>,
-    /// Initial contents as raw storage images — populated in arena mode,
-    /// restored with block copies. Shared like `content_words`.
     content_images: Arc<Vec<BitStorage>>,
     threads: usize,
-    reuse_memory: bool,
-    cheap_first: bool,
-    reuse_threads: bool,
     lane_batching: bool,
     /// Checked-in arena memories, re-armed per fault by workers. Bounded by
     /// the maximum number of concurrent checkouts (≤ worker threads).
@@ -517,9 +435,6 @@ impl CoverageEngine {
             transform: None,
             options: EvaluationOptions::default(),
             strategy: Strategy::default(),
-            reuse_memory: true,
-            cheap_first: true,
-            reuse_threads: true,
             lane_batching: true,
         }
     }
@@ -547,12 +462,8 @@ impl CoverageEngine {
             transform: None,
             lowered,
             options: self.options,
-            content_words: Arc::clone(&self.content_words),
             content_images: Arc::clone(&self.content_images),
             threads: self.threads,
-            reuse_memory: self.reuse_memory,
-            cheap_first: self.cheap_first,
-            reuse_threads: self.reuse_threads,
             lane_batching: self.lane_batching,
             pool: Mutex::new(Vec::new()),
             #[cfg(feature = "parallel")]
@@ -701,7 +612,7 @@ impl CoverageEngine {
         if universe.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        if self.lane_batching && self.cheap_first && self.reuse_memory && universe.len() > 1 {
+        if self.lane_batching && universe.len() > 1 {
             if let Some(report) = self.report_batched(universe)? {
                 return Ok(report);
             }
@@ -709,7 +620,7 @@ impl CoverageEngine {
             // occurred; fall through to the scalar paths (which carry the
             // documented earliest-error semantics).
         }
-        if self.cheap_first && self.threads > 1 && universe.len() > 1 {
+        if self.threads > 1 && universe.len() > 1 {
             if let Some(report) = self.report_cheap_first(universe)? {
                 return Ok(report);
             }
@@ -905,11 +816,9 @@ impl CoverageEngine {
                                 })
                         } else {
                             let chunk = scalar_chunks[item - batches.len()];
-                            if scalar_arena.is_none() {
-                                scalar_arena = self.checkout();
-                            }
+                            let scalar_arena = scalar_arena.get_or_insert_with(|| self.checkout());
                             chunk.iter().try_for_each(|&slot| {
-                                self.fault_detected(&mut scalar_arena, universe[slot])
+                                self.fault_detected(scalar_arena, universe[slot])
                                     .map(|hit| out.push((slot, hit)))
                             })
                         };
@@ -919,22 +828,14 @@ impl CoverageEngine {
                         }
                     }
                     engine_obs().window_steals.add(steals);
-                    self.checkin(scalar_arena);
+                    if let Some(scalar_arena) = scalar_arena {
+                        self.checkin(scalar_arena);
+                    }
                     out
                 }
             })
             .collect();
-        let per_worker: Vec<Vec<(usize, bool)>> = if self.reuse_threads {
-            self.workers().run(jobs)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("coverage worker panicked"))
-                    .collect()
-            })
-        };
+        let per_worker = self.workers().run(jobs);
         if failed.load(Ordering::Relaxed) {
             return false;
         }
@@ -1077,17 +978,19 @@ impl CoverageEngine {
             return Err(CoverageError::EmptyUniverse);
         }
         let mut report = AliasingReport::default();
-        let mut arena = self.checkout();
+        let mut memory = self.checkout();
         let result = (|| {
             for &fault in universe {
-                let memory = self.arm(&mut arena, fault)?;
+                memory.reset_with_fault(fault)?;
                 if let Some(image) = self.content_images.first() {
                     memory.load_image(image)?;
-                } else if let Some(words) = self.content_words.first() {
-                    memory.load(words)?;
                 }
-                let outcome =
-                    run_transparent_session(&self.test, prediction_test, memory, misr.clone())?;
+                let outcome = run_transparent_session(
+                    &self.test,
+                    prediction_test,
+                    &mut memory,
+                    misr.clone(),
+                )?;
                 report.total += 1;
                 if outcome.fault_detected_exact() {
                     report.detected_exact += 1;
@@ -1098,13 +1001,10 @@ impl CoverageEngine {
                 if outcome.aliased() {
                     report.aliased.push(fault);
                 }
-                if !self.reuse_memory {
-                    arena = None;
-                }
             }
             Ok(report)
         })();
-        self.checkin(arena);
+        self.checkin(memory);
         result
     }
 
@@ -1146,8 +1046,8 @@ impl CoverageEngine {
     /// The sweep visits only the union of the faults' word footprints
     /// ([`FaultSet::word_footprint`]), which is verdict-equivalent to a
     /// full-address sweep (property-tested in
-    /// `crates/bist/tests/multi_fault_local.rs` and against the historical
-    /// full-sweep path in `tests/engine_streaming.rs`).
+    /// `crates/bist/tests/multi_fault_local.rs` and against a full-sweep
+    /// oracle in `tests/engine_streaming.rs`).
     ///
     /// # Errors
     ///
@@ -1159,116 +1059,53 @@ impl CoverageEngine {
             return Err(CoverageError::EmptyUniverse);
         }
         let set = FaultSet::from_faults(faults.iter().copied());
-        if !self.reuse_memory {
-            // Historical full-sweep path: fresh memory per content round.
-            let exec = ExecutionOptions {
-                record_reads: false,
-                stop_at_first_mismatch: true,
-            };
-            if self.content_words.is_empty() {
-                let mut memory = FaultyMemory::with_faults(self.config, set)?;
-                return Ok(execute_lowered(&self.lowered, &mut memory, exec)?.detected());
-            }
-            for words in self.content_words.iter() {
-                let mut memory = FaultyMemory::with_faults(self.config, set.clone())?;
-                memory.load(words)?;
-                if !execute_lowered(&self.lowered, &mut memory, exec)?.detected() {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
-
         let footprint = set.word_footprint();
-        let mut arena = self.checkout();
+        let mut memory = self.checkout();
         let result = (|| {
-            let memory = arena.as_mut().expect("arena mode checked out a memory");
             if self.content_images.is_empty() {
                 memory.reset_with_faults(set)?;
-                return Ok(detect_lowered_at(&self.lowered, memory, &footprint)?);
+                return Ok(detect_lowered_at(&self.lowered, &mut memory, &footprint)?);
             }
             for image in self.content_images.iter() {
                 memory.reset_with_faults(set.clone())?;
                 memory.load_image(image)?;
-                if !detect_lowered_at(&self.lowered, memory, &footprint)? {
+                if !detect_lowered_at(&self.lowered, &mut memory, &footprint)? {
                     return Ok(false);
                 }
             }
             Ok(true)
         })();
-        self.checkin(arena);
+        self.checkin(memory);
         result
     }
 
-    /// Checks an arena memory out of the pool (or decides to run in the
-    /// historical fresh-per-fault mode when reuse is disabled).
-    fn checkout(&self) -> Option<FaultyMemory> {
-        if !self.reuse_memory {
-            return None;
-        }
+    /// Checks an arena memory out of the pool, building one when the pool
+    /// is empty.
+    fn checkout(&self) -> FaultyMemory {
         let mut pool = self.pool.lock().expect("arena pool lock poisoned");
         let memory = pool.pop();
         if memory.is_some() {
             engine_obs().pool_idle_arenas.decr();
         }
-        Some(memory.unwrap_or_else(|| FaultyMemory::fault_free(self.config)))
+        memory.unwrap_or_else(|| FaultyMemory::fault_free(self.config))
     }
 
     /// Returns an arena memory to the pool.
-    fn checkin(&self, arena: Option<FaultyMemory>) {
-        if let Some(memory) = arena {
-            self.pool
-                .lock()
-                .expect("arena pool lock poisoned")
-                .push(memory);
-            engine_obs().pool_idle_arenas.incr();
-        }
+    fn checkin(&self, memory: FaultyMemory) {
+        self.pool
+            .lock()
+            .expect("arena pool lock poisoned")
+            .push(memory);
+        engine_obs().pool_idle_arenas.incr();
     }
 
-    /// Produces a memory carrying exactly `fault` on zeroed content: the
-    /// arena is re-armed in place, or a fresh memory is built when reuse is
-    /// disabled. Either way the result is indistinguishable from
-    /// [`FaultyMemory::with_faults`] over the same fault.
-    fn arm<'a>(
-        &self,
-        arena: &'a mut Option<FaultyMemory>,
-        fault: Fault,
-    ) -> Result<&'a mut FaultyMemory, CoverageError> {
-        match arena {
-            Some(memory) => {
-                memory.reset_with_fault(fault)?;
-                Ok(memory)
-            }
-            None => {
-                *arena = Some(FaultyMemory::with_faults(
-                    self.config,
-                    FaultSet::from_faults([fault]),
-                )?);
-                Ok(arena.as_mut().expect("just inserted"))
-            }
-        }
-    }
-
-    /// Whether one fault is detected (under every tried initial content),
-    /// using the engine's lowered test, shared contents and the given arena
-    /// slot.
+    /// Whether one fault is detected (under every tried initial content):
+    /// the arena memory is re-armed per fault, the shared content restored
+    /// with a block copy, and only the fault's footprint words are swept
+    /// ([`twm_bist::detect_lowered_at`] — a word no fault touches can
+    /// neither misread nor disturb anything, so the verdict equals a full
+    /// sweep's at a fraction of the cost).
     fn fault_detected(
-        &self,
-        arena: &mut Option<FaultyMemory>,
-        fault: Fault,
-    ) -> Result<bool, CoverageError> {
-        match arena {
-            Some(memory) => self.detected_arena(memory, fault),
-            None => self.detected_fresh(fault),
-        }
-    }
-
-    /// Arena-mode detection: the pooled memory is re-armed per fault, the
-    /// shared content restored with a block copy, and only the fault's
-    /// footprint words are swept ([`twm_bist::detect_lowered_at`] — a word
-    /// no fault touches can neither misread nor disturb anything, so the
-    /// verdict equals a full sweep's at a fraction of the cost).
-    fn detected_arena(
         &self,
         memory: &mut FaultyMemory,
         fault: Fault,
@@ -1295,34 +1132,6 @@ impl CoverageEngine {
             memory.reset_with_fault(fault)?;
             memory.load_image(image)?;
             if !detect_lowered_at(&self.lowered, memory, footprint)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The historical fresh-per-fault detection path: a new memory is built
-    /// per run, the content rebuilt word by word, and the full address
-    /// space swept. Kept behind [`CoverageEngineBuilder::memory_reuse`]
-    /// `(false)` as the A/B baseline; bit-identical verdicts to
-    /// [`CoverageEngine::report`]'s arena path are property-tested.
-    fn detected_fresh(&self, fault: Fault) -> Result<bool, CoverageError> {
-        let exec = ExecutionOptions {
-            record_reads: false,
-            stop_at_first_mismatch: true,
-        };
-        if self.content_words.is_empty() {
-            let mut memory =
-                FaultyMemory::with_faults(self.config, FaultSet::from_faults([fault]))?;
-            let result = execute_lowered(&self.lowered, &mut memory, exec)?;
-            return Ok(result.detected());
-        }
-        for words in self.content_words.iter() {
-            let mut memory =
-                FaultyMemory::with_faults(self.config, FaultSet::from_faults([fault]))?;
-            memory.load(words)?;
-            let result = execute_lowered(&self.lowered, &mut memory, exec)?;
-            if !result.detected() {
                 return Ok(false);
             }
         }
@@ -1390,22 +1199,9 @@ impl CoverageEngine {
                     }
                 })
                 .collect();
-            let per_worker: Vec<VerdictScratch> = if self.reuse_threads {
-                // Persistent pool: workers live across windows (and across
-                // `with_test` siblings).
-                self.workers().run(jobs)
-            } else {
-                // Historical spawn-per-window baseline (A/B in the
-                // `engine_reuse` bench group).
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("coverage worker panicked"))
-                        .collect()
-                })
-            };
-            for mut out in per_worker {
+            // Persistent pool: workers live across windows (and across
+            // `with_test` siblings).
+            for mut out in self.workers().run(jobs) {
                 for (slot, result) in out.drain(..) {
                     slots[slot] = Some(result);
                 }
@@ -1478,12 +1274,10 @@ where
             // Serial: stream strictly one fault at a time with a held arena.
             if let Some(fault) = self.universe.next() {
                 let fault = *fault.borrow();
-                if self.arena.is_none() {
-                    self.arena = self.engine.checkout();
-                }
-                let verdict = self
-                    .engine
-                    .fault_detected(&mut self.arena, fault)
+                let engine = self.engine;
+                let arena = self.arena.get_or_insert_with(|| engine.checkout());
+                let verdict = engine
+                    .fault_detected(arena, fault)
                     .map(|detected| FaultVerdict { fault, detected });
                 self.buffer.push_back(verdict);
             }
@@ -1539,6 +1333,8 @@ where
 
 impl<I> Drop for Verdicts<'_, I> {
     fn drop(&mut self) {
-        self.engine.checkin(self.arena.take());
+        if let Some(arena) = self.arena.take() {
+            self.engine.checkin(arena);
+        }
     }
 }

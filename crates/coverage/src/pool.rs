@@ -1,12 +1,11 @@
 //! A persistent scoped worker pool for the engine's streaming windows.
 //!
 //! [`crate::CoverageEngine`] evaluates parallel universes in bounded
-//! windows; historically every window spawned (and joined) a fresh set of
-//! `std::thread::scope` workers, paying thread creation once per window.
-//! [`WorkerPool`] keeps the workers alive across windows — and, because the
-//! pool is shared (`Arc`) with [`crate::CoverageEngine::with_test`]
-//! siblings, across the thousands of candidate engines a search loop
-//! builds.
+//! windows and lane batches, all of which run on one [`WorkerPool`]: the
+//! workers stay alive across windows — and, because the pool is shared
+//! (`Arc`) with [`crate::CoverageEngine::with_test`] siblings, across the
+//! thousands of candidate engines a search loop builds — so thread
+//! creation is paid once, not once per window.
 //!
 //! The pool offers a *scoped* execution primitive: [`WorkerPool::run`]
 //! accepts closures that borrow from the caller's stack frame and does not
@@ -14,7 +13,7 @@
 //! after all of them have finished), which is what makes the lifetime
 //! erasure below sound. Results come back indexed by job slot, so window
 //! verdict ordering — and therefore every report — is bit-identical to the
-//! spawn-per-window path (A/B-measured in the `engine_reuse` bench group).
+//! serial path (property-tested in `tests/engine_streaming.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};

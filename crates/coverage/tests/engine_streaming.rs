@@ -3,10 +3,12 @@
 //! **exactly** — same faults, same order, same detection bits — for serial
 //! and parallel engines across thread counts, and the stream must work from
 //! a plain iterator (the out-of-memory-universe case, where the fault list
-//! is never materialised by the caller).
+//! is never materialised by the caller). The engine's fault-local arena
+//! path is also pinned against a full-address-sweep oracle.
 
 use proptest::prelude::*;
 
+use twm_bist::{execute_lowered, ExecutionOptions, LoweredTest};
 use twm_core::{TransparentScheme, TwmTa};
 use twm_coverage::universe::{CouplingScope, UniverseBuilder};
 use twm_coverage::{
@@ -15,7 +17,7 @@ use twm_coverage::{
 };
 use twm_march::algorithms::{march_c_minus, mats_plus};
 use twm_march::MarchTest;
-use twm_mem::{Fault, MemoryConfig};
+use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig};
 
 fn engine(
     test: &MarchTest,
@@ -42,6 +44,38 @@ fn collect_report(
         report.record(verdict.fault, verdict.detected);
     }
     report
+}
+
+/// The full-address-sweep reference for one injection: per content round a
+/// fresh memory carrying every fault, filled with the round's content, runs
+/// the whole lowered test; detected means detected under **every** round.
+fn full_sweep_detected(
+    test: &MarchTest,
+    config: MemoryConfig,
+    options: EvaluationOptions,
+    faults: &[Fault],
+) -> bool {
+    let lowered = LoweredTest::new(test, config.width()).unwrap();
+    let exec = ExecutionOptions {
+        record_reads: false,
+        stop_at_first_mismatch: true,
+    };
+    let seeds: Vec<Option<u64>> = match options.content {
+        ContentPolicy::Zeros => vec![None],
+        ContentPolicy::Random { seed } => (0..options.contents_per_fault.max(1))
+            .map(|round| Some(seed.wrapping_add(round as u64)))
+            .collect(),
+    };
+    seeds.into_iter().all(|seed| {
+        let set = FaultSet::from_faults(faults.iter().copied());
+        let mut memory = FaultyMemory::with_faults(config, set).unwrap();
+        if let Some(seed) = seed {
+            memory.fill_random(seed);
+        }
+        execute_lowered(&lowered, &mut memory, exec)
+            .unwrap()
+            .detected()
+    })
 }
 
 fn thread_strategies() -> Vec<Exec> {
@@ -112,44 +146,6 @@ proptest! {
             let e = engine(test, config, options, strategy);
             let collected = collect_report(test.name(), e.verdicts(&faults));
             prop_assert_eq!(collected, e.report(&faults).unwrap());
-        }
-    }
-
-    /// Arena reuse is unobservable: an engine with memory reuse disabled
-    /// (the historical fresh-allocation-per-fault behaviour, word-by-word
-    /// content restore) produces bit-identical reports to the arena engine
-    /// (image-restore path), for several contents per fault.
-    #[test]
-    fn arena_and_fresh_modes_are_bit_identical(
-        width in prop_oneof![Just(1usize), Just(4), Just(8)],
-        words in 2usize..7,
-        universe_seed in 0u64..1_000,
-        content_seed in 0u64..1_000,
-        contents_per_fault in 1usize..3,
-    ) {
-        let config = MemoryConfig::new(words, width).unwrap();
-        let faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(15, universe_seed)
-            .build();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed: content_seed },
-            contents_per_fault,
-        };
-        for strategy in thread_strategies() {
-            let arena = engine(&march_c_minus(), config, options, strategy);
-            let fresh = CoverageEngine::builder(config)
-                .test(&march_c_minus())
-                .options(options)
-                .strategy(strategy)
-                .memory_reuse(false)
-                .build()
-                .unwrap();
-            prop_assert_eq!(
-                arena.report(&faults).unwrap(),
-                fresh.report(&faults).unwrap(),
-                "strategy {:?}", strategy
-            );
         }
     }
 
@@ -286,44 +282,90 @@ fn invalid_fault_errors_surface_in_order() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// With two out-of-range faults, `report` returns the error of the one
+/// earlier in universe order even though every faster path reaches the
+/// other first: the bad SAF is packed into a lane batch and ranks cheap,
+/// so cheap-first scheduling evaluates it before the early, expensive
+/// inter-word coupling fault. Both paths give up on error and the
+/// in-order fallback pins the earliest one — for any strategy.
+#[test]
+fn earliest_of_two_invalid_faults_is_reported() {
+    use twm_mem::{BitAddress, MemError, Transition};
+    let config = MemoryConfig::new(4, 2).unwrap();
+    let mut faults = UniverseBuilder::new(config)
+        .stuck_at()
+        .coupling_inversion()
+        .build();
+    let bad_cell = BitAddress::new(77, 1);
+    let bad_coupling =
+        Fault::coupling_inversion(bad_cell, BitAddress::new(0, 0), Transition::Rising);
+    faults.insert(1, bad_coupling);
+    faults.push(Fault::stuck_at(BitAddress::new(99, 0), true));
+    for strategy in thread_strategies() {
+        let e = engine(
+            &march_c_minus(),
+            config,
+            EvaluationOptions::default(),
+            strategy,
+        );
+        match e.report(&faults) {
+            Err(CoverageError::Mem(MemError::FaultCellOutOfRange { cell })) => {
+                assert_eq!(cell, bad_cell, "strategy {strategy:?}");
+            }
+            other => {
+                panic!("strategy {strategy:?}: expected the coupling fault's error, got {other:?}")
+            }
+        }
+    }
+}
 
-    /// Multi-fault injections: the engine's fault-local
-    /// `injection_detected` agrees with the historical full-sweep path
-    /// (`memory_reuse(false)`) for any fault subset, content seed and
-    /// contents-per-fault count.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine's fault-local arena path (pooled memories, block-copy
+    /// content restore, footprint-only sweeps) agrees with the
+    /// full-address-sweep oracle: `report` fault by fault for every
+    /// strategy and several contents per fault, and multi-fault
+    /// `injection_detected` for any fault subset and content seed.
     #[test]
-    fn injection_detected_matches_full_sweep_reference(
-        pick in prop::collection::vec(0usize..1000, 1..5),
+    fn engine_matches_full_sweep_oracle(
+        width in prop_oneof![Just(1usize), Just(4), Just(8)],
+        words in 2usize..7,
+        universe_seed in 0u64..1_000,
         seed in any::<u64>(),
-        contents in 1usize..3,
+        contents_per_fault in 1usize..3,
+        pick in prop::collection::vec(0usize..1000, 1..5),
     ) {
+        let test = march_c_minus();
+        let options = EvaluationOptions {
+            content: ContentPolicy::Random { seed },
+            contents_per_fault,
+        };
+        let config = MemoryConfig::new(words, width).unwrap();
+        let faults = UniverseBuilder::new(config)
+            .all_classes()
+            .sample_per_class(15, universe_seed)
+            .build();
+        let mut oracle = CoverageReport::new(test.name());
+        for &fault in &faults {
+            oracle.record(fault, full_sweep_detected(&test, config, options, &[fault]));
+        }
+        for strategy in thread_strategies() {
+            let report = engine(&test, config, options, strategy).report(&faults).unwrap();
+            prop_assert_eq!(&report, &oracle, "strategy {:?}", strategy);
+        }
+
         let config = MemoryConfig::new(10, 4).unwrap();
         let pool = UniverseBuilder::new(config)
             .all_classes()
             .coupling_scope(CouplingScope::AllPairs)
             .sample_per_class(40, 5)
             .build();
-        let faults: Vec<Fault> = pick.iter().map(|&i| pool[i % pool.len()]).collect();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed },
-            contents_per_fault: contents,
-        };
-        let test = march_c_minus();
+        let injected: Vec<Fault> = pick.iter().map(|&i| pool[i % pool.len()]).collect();
         let local = engine(&test, config, options, Exec::Serial)
-            .injection_detected(&faults)
+            .injection_detected(&injected)
             .unwrap();
-        let full = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Exec::Serial)
-            .memory_reuse(false)
-            .build()
-            .unwrap()
-            .injection_detected(&faults)
-            .unwrap();
-        prop_assert_eq!(local, full);
+        prop_assert_eq!(local, full_sweep_detected(&test, config, options, &injected));
     }
 }
 
@@ -345,10 +387,10 @@ fn injection_detected_rejects_an_empty_set() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `report` may evaluate cheap-to-detect faults first
-    /// (`schedule_cheap_first`, on by default), but the produced report
-    /// must stay bit-identical to the strictly in-order evaluation for any
-    /// universe permutation and thread count.
+    /// `report` evaluates cheap-to-detect faults first under a parallel
+    /// strategy, but the produced report must stay bit-identical to the
+    /// serial in-order reference for any universe permutation and thread
+    /// count.
     #[test]
     fn cheap_first_scheduling_is_bit_identical(
         seed in any::<u64>(),
@@ -374,24 +416,13 @@ proptest! {
             let scheduled = engine(&march_c_minus(), config, options, strategy)
                 .report(&faults)
                 .unwrap();
-            prop_assert_eq!(&scheduled, &reference);
-            let in_order = CoverageEngine::builder(config)
-                .test(&march_c_minus())
-                .options(options)
-                .strategy(strategy)
-                .schedule_cheap_first(false)
-                .build()
-                .unwrap()
-                .report(&faults)
-                .unwrap();
-            prop_assert_eq!(&in_order, &reference);
+            prop_assert_eq!(&scheduled, &reference, "strategy {:?}", strategy);
         }
     }
 
-    /// The persistent window worker pool (`thread_reuse`, on by default)
-    /// must produce bit-identical reports to the historical
-    /// spawn-per-window path and the serial reference, for any thread
-    /// count — including through `with_test` siblings, which share the
+    /// The persistent window worker pool must produce bit-identical
+    /// reports to the serial reference for any thread count, across
+    /// repeated reports and through `with_test` siblings, which share the
     /// pool.
     #[test]
     fn persistent_worker_pool_is_bit_identical(seed in any::<u64>()) {
@@ -408,23 +439,12 @@ proptest! {
             .report(&faults)
             .unwrap();
         for strategy in thread_strategies() {
-            let build = |reuse: bool| {
-                CoverageEngine::builder(config)
-                    .test(&march_c_minus())
-                    .options(options)
-                    .strategy(strategy)
-                    .thread_reuse(reuse)
-                    .build()
-                    .unwrap()
-            };
-            let pooled = build(true);
+            let pooled = engine(&march_c_minus(), config, options, strategy);
             // Repeated reports reuse the same workers.
             prop_assert_eq!(&pooled.report(&faults).unwrap(), &reference);
             prop_assert_eq!(&pooled.report(&faults).unwrap(), &reference);
             let sibling = pooled.with_test(&march_c_minus()).unwrap();
             prop_assert_eq!(&sibling.report(&faults).unwrap(), &reference);
-            let spawning = build(false);
-            prop_assert_eq!(&spawning.report(&faults).unwrap(), &reference);
         }
     }
 

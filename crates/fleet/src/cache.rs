@@ -33,13 +33,14 @@ use crate::FleetError;
 
 /// Process-wide runtime-cache counters in the [`twm_obs::global`]
 /// registry — the scrapeable mirror of every cache instance's
-/// [`CacheMetrics`] snapshot, plus the spill counter the service bumps
-/// when a demoted shard goes to disk.
+/// [`CacheMetrics`] snapshot, plus the spill counters the service bumps
+/// when a demoted shard goes to disk or fails to.
 pub(crate) struct CacheObs {
     pub(crate) hits: Counter,
     pub(crate) misses: Counter,
     pub(crate) evictions: Counter,
     pub(crate) spills: Counter,
+    pub(crate) spill_errors: Counter,
 }
 
 pub(crate) fn cache_obs() -> &'static CacheObs {
@@ -51,6 +52,7 @@ pub(crate) fn cache_obs() -> &'static CacheObs {
             misses: registry.counter("twm_fleet_cache_misses_total", &[]),
             evictions: registry.counter("twm_fleet_cache_evictions_total", &[]),
             spills: registry.counter("twm_fleet_cache_spills_total", &[]),
+            spill_errors: registry.counter("twm_fleet_spill_errors_total", &[]),
         }
     })
 }

@@ -649,10 +649,18 @@ impl FleetService {
             // Cold shards fell out of the runtime LRU: demote their
             // dictionaries to spill files (no-op without a spill config).
             // The spilled shard keeps serving — its next lookups stream
-            // from disk through the bounded page cache.
+            // from disk through the bounded page cache. Every runtime is
+            // already resolved, so a failed spill only costs memory: the
+            // shard stays resident, the failure is counted, and the other
+            // evicted shards still get their attempt.
             for evicted in cache.take_evicted() {
-                if store.spill(evicted)? {
-                    cache_obs().spills.incr();
+                match store.spill(evicted) {
+                    Ok(true) => cache_obs().spills.incr(),
+                    Ok(false) => {}
+                    Err(error) => {
+                        cache_obs().spill_errors.incr();
+                        twm_obs::event("fleet.spill_error", &[("error", &error.to_string())]);
+                    }
                 }
             }
         }

@@ -256,3 +256,63 @@ fn evicted_shards_spill_to_disk_and_keep_diagnosing_identically() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A spill that cannot be written (its directory sits below a regular
+/// file) fails neither the batch that evicted the shard nor later ones:
+/// the shard stays resident, the failure is counted, and every verdict is
+/// bit-identical to a service that never spills.
+#[test]
+fn failed_spills_are_counted_and_never_fail_the_batch() {
+    let blocker =
+        std::env::temp_dir().join(format!("twm-fleet-spill-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let spilling = FleetService::new(FleetConfig {
+        cache_capacity: 1,
+        spill: Some(SpillConfig {
+            dir: blocker.join("spill"),
+            options: StoreOptions::default(),
+        }),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let resident = FleetService::new(FleetConfig::default()).unwrap();
+
+    let shard_a = ShardKey::new(config(), SchemeId::TwmTa, &march_c_minus());
+    let shard_b = ShardKey::new(config(), SchemeId::Scheme1, &mats_plus());
+    for (scheme, source) in [
+        (SchemeId::TwmTa, march_c_minus()),
+        (SchemeId::Scheme1, mats_plus()),
+    ] {
+        for service in [&spilling, &resident] {
+            let response = service.handle(Request::RegisterDictionary {
+                source: source.clone(),
+                dictionary: build_dictionary(scheme, &source),
+            });
+            assert!(matches!(response, Response::Registered { .. }));
+        }
+    }
+
+    let errors = twm_obs::global().counter("twm_fleet_spill_errors_total", &[]);
+    let before = errors.get();
+    // Shard B evicts A from the 1-slot cache, so A's spill fails; the
+    // repeat of A evicts B, whose spill fails too.
+    let batches = [
+        reports(shard_a, SchemeId::TwmTa, &march_c_minus()),
+        reports(shard_b, SchemeId::Scheme1, &mats_plus()),
+        reports(shard_a, SchemeId::TwmTa, &march_c_minus()),
+    ];
+    for reports in batches {
+        let request = Request::DiagnoseBatch { reports };
+        let Response::Batch(served) = spilling.handle(request.clone()) else {
+            panic!("a failed spill must not fail the batch");
+        };
+        let Response::Batch(reference) = resident.handle(request) else {
+            panic!("diagnosis failed");
+        };
+        assert_eq!(served.outcomes, reference.outcomes);
+        assert_eq!(served.statistics, reference.statistics);
+    }
+    assert!(errors.get() >= before + 2, "both failed spills are counted");
+
+    std::fs::remove_file(&blocker).unwrap();
+}
