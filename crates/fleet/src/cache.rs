@@ -1,19 +1,19 @@
-//! The LRU-bounded runtime cache: per-shard engines, transforms and
-//! diagnosis state, rebuilt on miss and shared across worker threads.
+//! The LRU-bounded runtime cache: per-shard diagnosis state, rebuilt on
+//! miss and shared across worker threads.
 //!
-//! A shard's runtime is everything batched diagnosis needs beyond the
-//! dictionary itself: the scheme registry for the memory width, every
-//! scheme's transform of the source test (the expensive part of a
-//! [`twm_repair::DiagnosticSession`]), the dictionary-scheme transform
-//! used for repair verification, the MISR template and a
-//! [`CoverageEngine`] carrying the prepared reference contents.
+//! A shard's runtime is what batched diagnosis needs beyond the
+//! dictionary lookup itself: the scheme registry for the memory width,
+//! the dictionary scheme's transform of the source test (the session
+//! repair verification re-runs) and the MISR template. A miss builds
+//! only those — one registry and one transform — so a shard that fell
+//! out of the cache costs microseconds to bring back.
 //!
-//! Engines are built in two steps so shards of the same memory shape and
-//! content policy share the prepared contents: a **base** engine per
-//! `(config, content)` pair (kept for the life of the cache — there are
-//! few distinct shapes in a deployment), then the cheap
-//! [`CoverageEngine::with_scheme`] sibling per shard, which clones `Arc`s
-//! instead of regenerating contents.
+//! The cache also memoises one **base** [`CoverageEngine`] per
+//! `(config, content)` pair for server-side dictionary builds (kept for
+//! the life of the cache — there are few distinct shapes in a
+//! deployment); a build derives the cheap
+//! [`CoverageEngine::with_scheme`] sibling, which clones `Arc`s instead
+//! of regenerating contents.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -64,16 +64,9 @@ pub struct ShardRuntime {
     pub source: MarchTest,
     /// The scheme registry for the shard's memory width.
     pub registry: SchemeRegistry,
-    /// Every registered scheme's transform of the source test, in
-    /// registry order — feeds
-    /// [`twm_repair::DiagnosticSession::with_transforms`].
-    pub transforms: Vec<SchemeTransform>,
     /// The shard's dictionary handle — resident, or served from its
     /// spill file through the bounded page cache.
     pub dictionary: DictionaryHandle,
-    /// A coverage engine under the dictionary's scheme, sharing its base
-    /// engine's prepared contents.
-    pub engine: CoverageEngine,
     /// The dictionary-scheme transform (the one repair verification
     /// re-runs).
     pub probe: SchemeTransform,
@@ -82,31 +75,27 @@ pub struct ShardRuntime {
 }
 
 impl ShardRuntime {
-    fn build(entry: &ShardEntry, base: &CoverageEngine) -> Result<Self, FleetError> {
+    fn build(entry: &ShardEntry) -> Result<Self, FleetError> {
+        let registry = SchemeRegistry::all(entry.dictionary.config().width())?;
+        Self::with_registry(entry, registry)
+    }
+
+    /// The runtime of `entry` under `registry`: only the dictionary
+    /// scheme's transform is built.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Core`] with [`twm_core::CoreError::MissingScheme`]
+    /// when `registry` lacks the dictionary's scheme, or the scheme's
+    /// transform error.
+    fn with_registry(entry: &ShardEntry, registry: SchemeRegistry) -> Result<Self, FleetError> {
         let dictionary = entry.dictionary.clone();
-        let config = dictionary.config();
-        let registry = SchemeRegistry::all(config.width())?;
-        let transforms = registry.transform_all(&entry.source)?;
-        let scheme = registry
-            .get(dictionary.scheme())
-            .ok_or(FleetError::UnknownShard(ShardKey::new(
-                config,
-                dictionary.scheme(),
-                &entry.source,
-            )))?;
-        let engine = base.with_scheme(scheme, &entry.source)?;
-        let probe = registry
-            .ids()
-            .position(|id| id == dictionary.scheme())
-            .map(|at| transforms[at].clone())
-            .expect("registry.get succeeded, so the id is present");
+        let probe = registry.transform(dictionary.scheme(), &entry.source)?;
         let misr = dictionary.misr_template().clone();
         Ok(Self {
             source: entry.source.clone(),
             registry,
-            transforms,
             dictionary,
-            engine,
             probe,
             misr,
         })
@@ -114,7 +103,7 @@ impl ShardRuntime {
 }
 
 /// LRU cache of shard runtimes plus the per-`(config, content)` base
-/// engines they are derived from.
+/// engines server-side dictionary builds derive from.
 #[derive(Debug)]
 pub struct RuntimeCache {
     capacity: usize,
@@ -158,8 +147,7 @@ impl RuntimeCache {
     ///
     /// # Errors
     ///
-    /// Propagates registry, transform and engine-build errors from a cold
-    /// build.
+    /// Propagates registry and transform errors from a cold build.
     pub fn runtime(
         &mut self,
         key: ShardKey,
@@ -174,8 +162,7 @@ impl RuntimeCache {
         }
         self.misses.incr();
         cache_obs().misses.incr();
-        let base = self.base_engine(key.config, entry.dictionary.content(), &entry.source)?;
-        let runtime = Arc::new(ShardRuntime::build(entry, &base)?);
+        let runtime = Arc::new(ShardRuntime::build(entry)?);
         if self.runtimes.len() == self.capacity {
             let oldest = self
                 .runtimes
@@ -253,5 +240,58 @@ impl RuntimeCache {
         let handle = base.with_test(test)?;
         self.bases.push(((config, content), base));
         Ok(handle)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use twm_core::scheme::SchemeId;
+    use twm_core::CoreError;
+    use twm_coverage::UniverseBuilder;
+    use twm_march::algorithms::march_c_minus;
+    use twm_repair::{DictionaryOptions, SignatureDictionary};
+
+    fn entry(scheme: SchemeId) -> ShardEntry {
+        let config = MemoryConfig::new(6, 4).unwrap();
+        let registry = SchemeRegistry::all(4).unwrap();
+        let engine =
+            CoverageEngine::for_scheme(registry.get(scheme).unwrap(), &march_c_minus(), config)
+                .unwrap()
+                .build()
+                .unwrap();
+        let universe = UniverseBuilder::new(config).stuck_at().build();
+        let dictionary =
+            SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
+        ShardEntry {
+            source: march_c_minus(),
+            dictionary: DictionaryHandle::Resident(Arc::new(dictionary)),
+        }
+    }
+
+    #[test]
+    fn a_runtime_holds_the_dictionary_scheme_transform() {
+        let entry = entry(SchemeId::Scheme1);
+        let runtime = ShardRuntime::build(&entry).unwrap();
+        let expected = SchemeRegistry::all(4)
+            .unwrap()
+            .transform(SchemeId::Scheme1, &march_c_minus())
+            .unwrap();
+        assert_eq!(runtime.probe, expected);
+        assert_eq!(runtime.registry.len(), SchemeId::all().len());
+        assert_eq!(&runtime.misr, entry.dictionary.misr_template());
+    }
+
+    #[test]
+    fn a_scheme_missing_from_the_registry_is_a_core_error() {
+        // The comparison registry has no Nicolaidis scheme.
+        let entry = entry(SchemeId::Nicolaidis);
+        let registry = SchemeRegistry::comparison(4).unwrap();
+        assert!(matches!(
+            ShardRuntime::with_registry(&entry, registry),
+            Err(FleetError::Core(CoreError::MissingScheme {
+                id: SchemeId::Nicolaidis
+            }))
+        ));
     }
 }

@@ -16,10 +16,9 @@
 //!   disk under a bounded page cache), with streaming wire-format
 //!   export/import for persistence.
 //! * [`cache`] — [`RuntimeCache`]: an LRU bound over per-shard
-//!   [`ShardRuntime`]s (scheme registry, transforms, coverage engine,
-//!   MISR), rebuilt on miss through the cheap
-//!   [`twm_coverage::CoverageEngine::with_scheme`] sibling path so
-//!   shards of one memory shape share prepared contents.
+//!   [`ShardRuntime`]s (scheme registry, the dictionary scheme's
+//!   transform, MISR template), rebuilt on miss from one registry and
+//!   one transform.
 //! * [`service`] — [`FleetService::handle`]: the synchronous
 //!   [`Request`] → [`Response`] core. [`Request::DiagnoseBatch`] fans
 //!   devices across worker threads and merges outcomes back into

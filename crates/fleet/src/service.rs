@@ -33,8 +33,8 @@ use twm_obs::{
     latency_bounds, Counter, Histogram, HistogramSnapshot, MetricsReport, MetricsServer,
 };
 use twm_repair::{
-    localise_trail, verify_repair, DictionaryOptions, LocatedDefect, RepairAllocator, RepairPlan,
-    SignatureDictionary, SignatureTrail, TrailLookup,
+    verify_repair, AmbiguityClass, DictionaryOptions, LocatedDefect, RepairAllocator, RepairError,
+    RepairPlan, SignatureDictionary, SignatureTrail, TrailDiagnosis, TrailLookup,
 };
 
 use crate::cache::{cache_obs, RuntimeCache, ShardRuntime};
@@ -532,7 +532,18 @@ impl FleetService {
             }
             Request::DiagnoseBatch { reports } => self.diagnose_batch(&reports),
             Request::ExportShard { shard } => {
-                let bytes = self.store.lock().expect("store lock").export(shard)?;
+                // Clone the `Arc`-backed entry under the lock, encode
+                // after releasing it: a spilled shard's export reads its
+                // whole file back, and batches must not wait on that.
+                let entry = self
+                    .store
+                    .lock()
+                    .expect("store lock")
+                    .get(shard)
+                    .cloned()
+                    .ok_or(FleetError::UnknownShard(shard))?;
+                let mut bytes = Vec::new();
+                entry.export_to(&mut bytes)?;
                 Ok(Response::Exported { shard, bytes })
             }
             Request::ImportShard { bytes } => {
@@ -717,26 +728,27 @@ impl FleetService {
     }
 }
 
-/// Diagnoses one device from its trail: dictionary lookup, spare
-/// allocation and (optionally) simulated repair verification.
+/// Diagnoses one device from its trail: one dictionary lookup, spare
+/// allocation and (optionally) simulated repair verification against the
+/// class that lookup matched.
 fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) -> DeviceVerdict {
-    let diagnosis = match localise_trail(&runtime.dictionary, &report.trail) {
-        Ok(diagnosis) => diagnosis,
+    let dictionary = &runtime.dictionary;
+    if report.trail == *dictionary.reference_trail() {
+        return DeviceVerdict::Clean;
+    }
+    let class = match dictionary.find(&report.trail) {
+        Ok(Some(class)) => class,
+        Ok(None) => return DeviceVerdict::UnknownTrail,
         Err(error) => {
             return DeviceVerdict::Failed {
                 message: error.to_string(),
             }
         }
     };
-    if diagnosis.clean {
-        return DeviceVerdict::Clean;
-    }
-    if !diagnosis.dictionary_hit {
-        return DeviceVerdict::UnknownTrail;
-    }
+    let diagnosis = TrailDiagnosis::from_class(&class);
     let plan = RepairAllocator::default().allocate(&diagnosis.defects, report.spares);
     let predicted_clean = if verify && plan.fully_repairs() && report.spares > 0 {
-        match verify_plan(runtime, &report.trail, report.spares, &plan) {
+        match verify_plan(runtime, &class, report.spares, &plan) {
             Ok(clean) => clean,
             Err(error) => {
                 return DeviceVerdict::Failed {
@@ -760,16 +772,15 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
 /// budget, program the plan's remap table and re-run the scheme session.
 fn verify_plan(
     runtime: &ShardRuntime,
-    trail: &SignatureTrail,
+    class: &AmbiguityClass,
     spares: usize,
     plan: &RepairPlan,
 ) -> Result<bool, FleetError> {
-    let class = runtime
-        .dictionary
-        .find(trail)?
-        .expect("caller checked dictionary_hit");
-    let representative = class.injections[0].clone();
-    let mut memory = FaultyMemory::with_faults(runtime.dictionary.config(), representative)?;
+    let representative = class.injections.first().ok_or_else(|| {
+        RepairError::InvalidDictionary("the matched ambiguity class holds no injections".into())
+    })?;
+    let mut memory =
+        FaultyMemory::with_faults(runtime.dictionary.config(), representative.clone())?;
     match runtime.dictionary.content() {
         ContentPolicy::Zeros => {}
         ContentPolicy::Random { seed } => memory.fill_random(seed),
@@ -814,5 +825,96 @@ fn record(stats: &mut FleetStatistics, verdict: &DeviceVerdict) {
                 .collect();
             *stats.spares_needed.entry(words.len() as u64).or_default() += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use twm_core::scheme::SchemeRegistry;
+    use twm_coverage::CoverageEngine;
+    use twm_march::algorithms::march_c_minus;
+    use twm_store::{PagedDictionary, StoreOptions};
+
+    use crate::store::{DictionaryHandle, ShardEntry};
+
+    /// A spilled 6×4 shard whose pager caches nothing, so page misses
+    /// count every disk read.
+    fn paged_runtime(tag: &str) -> (SignatureDictionary, Arc<PagedDictionary>, Arc<ShardRuntime>) {
+        let config = MemoryConfig::new(6, 4).unwrap();
+        let registry = SchemeRegistry::all(4).unwrap();
+        let engine = CoverageEngine::for_scheme(
+            registry.get(SchemeId::TwmTa).unwrap(),
+            &march_c_minus(),
+            config,
+        )
+        .unwrap()
+        .content(ContentPolicy::Random { seed: 5 })
+        .build()
+        .unwrap();
+        let universe = UniverseBuilder::new(config).stuck_at().transition().build();
+        let dictionary =
+            SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "twm-fleet-service-{}-{tag}.twmstore",
+            std::process::id()
+        ));
+        let options = StoreOptions {
+            page_size: 256,
+            cache_budget: 0,
+        };
+        PagedDictionary::write(&dictionary, &path, &options).unwrap();
+        let paged = Arc::new(PagedDictionary::open(&path, &options).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let entry = ShardEntry {
+            source: march_c_minus(),
+            dictionary: DictionaryHandle::Paged(Arc::clone(&paged)),
+        };
+        let key = ShardKey::new(config, SchemeId::TwmTa, &march_c_minus());
+        let runtime = RuntimeCache::new(1, Strategy::Serial)
+            .unwrap()
+            .runtime(key, &entry)
+            .unwrap();
+        (dictionary, paged, runtime)
+    }
+
+    #[test]
+    fn a_diagnosed_device_looks_its_trail_up_once() {
+        let (dictionary, paged, runtime) = paged_runtime("one-lookup");
+        let mut verified = 0;
+        for class in dictionary.classes() {
+            let report = DeviceReport {
+                device: "d".into(),
+                shard: ShardKey::new(dictionary.config(), SchemeId::TwmTa, &march_c_minus()),
+                trail: class.trail.clone(),
+                spares: 8,
+            };
+            let before = paged.cache_metrics().misses;
+            paged.lookup(&class.trail).unwrap();
+            let one_lookup = paged.cache_metrics().misses - before;
+
+            let before = paged.cache_metrics().misses;
+            let DeviceVerdict::Diagnosed(diagnosis) = diagnose_device(&runtime, &report, true)
+            else {
+                panic!("an indexed trail is diagnosed");
+            };
+            assert_eq!(paged.cache_metrics().misses - before, one_lookup);
+            verified += usize::from(diagnosis.predicted_clean);
+        }
+        assert!(verified > 0, "repair verification must have run");
+    }
+
+    #[test]
+    fn an_empty_matched_class_is_an_error_not_a_panic() {
+        let (dictionary, _, runtime) = paged_runtime("empty-class");
+        let class = AmbiguityClass {
+            trail: dictionary.classes()[0].trail.clone(),
+            injections: Vec::new(),
+        };
+        let plan = RepairAllocator::default().allocate(&[], 1);
+        assert!(matches!(
+            verify_plan(&runtime, &class, 1, &plan),
+            Err(FleetError::Repair(RepairError::InvalidDictionary(_)))
+        ));
     }
 }

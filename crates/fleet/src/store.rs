@@ -158,6 +158,25 @@ pub struct ShardEntry {
     pub dictionary: DictionaryHandle,
 }
 
+impl ShardEntry {
+    /// Streams the entry's wire-format export — the bytes of
+    /// [`DictionaryStore::export`] — onto a writer, without the store.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Store`] when a spilled dictionary fails to read back,
+    /// [`FleetError::Io`] when the writer fails.
+    pub fn export_to<W: Write + ?Sized>(&self, writer: &mut W) -> Result<(), FleetError> {
+        wire::write_to(
+            writer,
+            &PersistedShard {
+                source: self.source.clone(),
+                dictionary: self.dictionary.to_resident()?,
+            },
+        )
+    }
+}
+
 /// The serialised form of a shard entry — what [`DictionaryStore::export`]
 /// writes and [`DictionaryStore::import`] reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -338,14 +357,9 @@ impl DictionaryStore {
         key: ShardKey,
         writer: &mut W,
     ) -> Result<(), FleetError> {
-        let entry = self.get(key).ok_or(FleetError::UnknownShard(key))?;
-        wire::write_to(
-            writer,
-            &PersistedShard {
-                source: entry.source.clone(),
-                dictionary: entry.dictionary.to_resident()?,
-            },
-        )
+        self.get(key)
+            .ok_or(FleetError::UnknownShard(key))?
+            .export_to(writer)
     }
 
     /// Registers a shard from its wire-format export.

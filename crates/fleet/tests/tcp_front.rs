@@ -257,6 +257,84 @@ fn evicted_shards_spill_to_disk_and_keep_diagnosing_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A spilled shard exports exactly the bytes it exported while
+/// resident, and importing them into a fresh service diagnoses the same
+/// batch bit-identically.
+#[test]
+fn spilled_exports_equal_resident_exports() {
+    let dir = std::env::temp_dir().join(format!("twm-fleet-spill-export-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = FleetService::new(FleetConfig {
+        cache_capacity: 1,
+        spill: Some(SpillConfig {
+            dir: dir.clone(),
+            options: StoreOptions {
+                page_size: 256,
+                cache_budget: 512,
+            },
+        }),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let shard_a = ShardKey::new(config(), SchemeId::TwmTa, &march_c_minus());
+    let shard_b = ShardKey::new(config(), SchemeId::Scheme1, &mats_plus());
+    for (scheme, source) in [
+        (SchemeId::TwmTa, march_c_minus()),
+        (SchemeId::Scheme1, mats_plus()),
+    ] {
+        let response = service.handle(Request::RegisterDictionary {
+            source: source.clone(),
+            dictionary: build_dictionary(scheme, &source),
+        });
+        assert!(matches!(response, Response::Registered { .. }));
+    }
+    let export =
+        |service: &FleetService| match service.handle(Request::ExportShard { shard: shard_a }) {
+            Response::Exported { shard, bytes } => {
+                assert_eq!(shard, shard_a);
+                bytes
+            }
+            other => panic!("export failed: {other:?}"),
+        };
+
+    let batch_a = Request::DiagnoseBatch {
+        reports: reports(shard_a, SchemeId::TwmTa, &march_c_minus()),
+    };
+    let Response::Batch(resident) = service.handle(batch_a.clone()) else {
+        panic!("diagnosis failed");
+    };
+    let resident_bytes = export(&service);
+    // Diagnosing shard B evicts A's runtime from the 1-slot cache and
+    // spills A's dictionary.
+    let response = service.handle(Request::DiagnoseBatch {
+        reports: reports(shard_b, SchemeId::Scheme1, &mats_plus()),
+    });
+    assert!(matches!(response, Response::Batch(_)));
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "shard A spilled"
+    );
+
+    assert_eq!(export(&service), resident_bytes);
+
+    let fresh = FleetService::with_defaults().unwrap();
+    let response = fresh.handle(Request::ImportShard {
+        bytes: resident_bytes,
+    });
+    assert!(matches!(response, Response::Registered { shard, .. } if shard == shard_a));
+    let Response::Batch(imported) = fresh.handle(batch_a) else {
+        panic!("diagnosis failed");
+    };
+    assert_eq!(imported, resident);
+    assert!(imported
+        .outcomes
+        .iter()
+        .any(|outcome| matches!(outcome.verdict, DeviceVerdict::Diagnosed(_))));
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A spill that cannot be written (its directory sits below a regular
 /// file) fails neither the batch that evicted the shard nor later ones:
 /// the shard stays resident, the failure is counted, and every verdict is

@@ -511,66 +511,77 @@ pub fn localise_trail<D: TrailLookup + ?Sized>(
             clean: true,
         });
     }
-    let Some(class) = dictionary.find(trail)? else {
-        return Ok(TrailDiagnosis {
+    Ok(match dictionary.find(trail)? {
+        Some(class) => TrailDiagnosis::from_class(&class),
+        None => TrailDiagnosis {
             defects: Vec::new(),
             dictionary_hit: false,
             ambiguity: 0,
             clean: false,
-        });
-    };
+        },
+    })
+}
 
-    #[derive(Default)]
-    struct Candidate {
-        classes: Vec<FaultClass>,
-        values: Vec<Option<bool>>,
-    }
-    let mut candidates: BTreeMap<BitAddress, Candidate> = BTreeMap::new();
-    for injection in &class.injections {
-        for fault in injection {
-            let candidate = candidates.entry(fault.victim()).or_default();
-            if !candidate.classes.contains(&fault.class()) {
-                candidate.classes.push(fault.class());
-            }
-            let value = match fault {
-                twm_mem::Fault::StuckAt { value, .. } => Some(*value),
-                twm_mem::Fault::TransitionFault { direction, .. } => match direction {
-                    twm_mem::Transition::Rising => Some(false),
-                    twm_mem::Transition::Falling => Some(true),
-                },
-                _ => None,
-            };
-            if !candidate.values.contains(&value) {
-                candidate.values.push(value);
+impl TrailDiagnosis {
+    /// The diagnosis of a trail that matched `class`: the class's
+    /// injections become ranked [`LocatedDefect`]s, one per distinct
+    /// victim cell, with dictionary-only evidence — the hit half of
+    /// [`localise_trail`], for callers that already hold the class (a
+    /// fleet worker that also needs it for repair verification).
+    #[must_use]
+    pub fn from_class(class: &AmbiguityClass) -> Self {
+        #[derive(Default)]
+        struct Candidate {
+            classes: Vec<FaultClass>,
+            values: Vec<Option<bool>>,
+        }
+        let mut candidates: BTreeMap<BitAddress, Candidate> = BTreeMap::new();
+        for injection in &class.injections {
+            for fault in injection {
+                let candidate = candidates.entry(fault.victim()).or_default();
+                if !candidate.classes.contains(&fault.class()) {
+                    candidate.classes.push(fault.class());
+                }
+                let value = match fault {
+                    twm_mem::Fault::StuckAt { value, .. } => Some(*value),
+                    twm_mem::Fault::TransitionFault { direction, .. } => match direction {
+                        twm_mem::Transition::Rising => Some(false),
+                        twm_mem::Transition::Falling => Some(true),
+                    },
+                    _ => None,
+                };
+                if !candidate.values.contains(&value) {
+                    candidate.values.push(value);
+                }
             }
         }
+        let evidence = DefectEvidence {
+            in_ambiguity_class: true,
+            ..DefectEvidence::default()
+        };
+        let defects = candidates
+            .into_iter()
+            .map(|(cell, candidate)| LocatedDefect {
+                cell,
+                hypothesis: match candidate.classes.as_slice() {
+                    [single] => Some(*single),
+                    _ => None,
+                },
+                stuck_value: match candidate.values.as_slice() {
+                    [single] => *single,
+                    _ => None,
+                },
+                confidence: f64::from(evidence.points()) / f64::from(MAX_EVIDENCE_POINTS),
+                evidence,
+            })
+            .collect();
+        Self {
+            defects,
+            dictionary_hit: true,
+            ambiguity: class.injections.len(),
+            clean: false,
+        }
     }
-    let evidence = DefectEvidence {
-        in_ambiguity_class: true,
-        ..DefectEvidence::default()
-    };
-    let defects = candidates
-        .into_iter()
-        .map(|(cell, candidate)| LocatedDefect {
-            cell,
-            hypothesis: match candidate.classes.as_slice() {
-                [single] => Some(*single),
-                _ => None,
-            },
-            stuck_value: match candidate.values.as_slice() {
-                [single] => *single,
-                _ => None,
-            },
-            confidence: f64::from(evidence.points()) / f64::from(MAX_EVIDENCE_POINTS),
-            evidence,
-        })
-        .collect();
-    Ok(TrailDiagnosis {
-        defects,
-        dictionary_hit: true,
-        ambiguity: class.injections.len(),
-        clean: false,
-    })
 }
 
 /// Content-normalised [`localise_trail`]: matches `observed` after

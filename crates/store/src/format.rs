@@ -27,9 +27,10 @@
 //!
 //! `prefix_words + suffix_words` always equals the dictionary's trail
 //! length, and the first entry of every page is written with a zero
-//! prefix, so pages are self-contained: the lookup binary-searches pages
-//! by their first trail, then scans one page. A `0xFFFF` prefix marks
-//! end-of-page early. Payload handles are `(page, offset)` into the
+//! prefix, so pages are self-contained. Each page's first trail is its
+//! **fence key**: opening a store reads every index page once and keeps
+//! the fences resident, and a lookup binary-searches them in RAM, then
+//! reads and scans one page. A `0xFFFF` prefix marks end-of-page early. Payload handles are `(page, offset)` into the
 //! payload region's linear byte stream (records may span pages).
 
 use crate::{StoreError, FORMAT_VERSION};

@@ -16,7 +16,8 @@
 //!   serving memory is the **cache budget**, not the dictionary size.
 //! * [`PagedDictionary`] — implements `twm_repair`'s [`TrailLookup`]
 //!   alongside the in-RAM `SignatureDictionary`: lookups binary-search
-//!   index pages streamed from disk and deserialise one class. Built
+//!   resident fence keys (each index page's first trail), read one index
+//!   page and deserialise one class. Built
 //!   either by [`PagedDictionary::build_to_disk`] (streams classes during
 //!   construction) or persisted from RAM with [`PagedDictionary::write`].
 //! * [`wire`] — the self-describing codec, now streaming over

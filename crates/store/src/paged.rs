@@ -2,17 +2,23 @@
 //! file through the bounded page cache — the out-of-core counterpart of
 //! the in-RAM [`SignatureDictionary`].
 //!
-//! Only the header and the small metadata region (scheme, shapes, MISR
-//! template, fault-free trail) are resident; every lookup binary-searches
-//! **index pages** streamed from disk by their first trail, scans one
-//! page reconstructing prefix-compressed trails, and follows the payload
-//! handle to deserialise just the matched class. Serving memory is
-//! bounded by [`StoreOptions::cache_budget`], not dictionary size.
+//! Resident memory is the header, the small metadata region (scheme,
+//! shapes, MISR template, fault-free trail), one **fence key** per index
+//! page — the page's first trail — and the page-cache budget. `open`
+//! reads every index page once through the checksum-verifying [`Pager`]
+//! to collect the fences, so a corrupt index page is reported by `open`
+//! rather than by the first lookup that lands on it. A lookup then
+//! binary-searches the fences in RAM, scans the one index page they
+//! pick (reconstructing prefix-compressed trails), and follows the
+//! payload handle to deserialise just the matched class: one index page
+//! plus the payload pages of one record, whatever the index size.
+//! Serving memory is bounded by [`StoreOptions::cache_budget`] plus the
+//! fences, not by the dictionary size.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -89,6 +95,9 @@ pub struct PagedDictionary {
     path: PathBuf,
     header: Header,
     meta: StoreMeta,
+    /// The first trail of every index page, `trail_words` signature
+    /// words per page, in page order (strictly ascending).
+    fences: Vec<u128>,
     pager: Mutex<Pager>,
 }
 
@@ -174,9 +183,10 @@ impl PagedDictionary {
         Ok(())
     }
 
-    /// Opens a paged dictionary file, verifying magic, version and the
-    /// header/metadata checksums. Only the header and metadata become
-    /// resident; `options.cache_budget` bounds everything else.
+    /// Opens a paged dictionary file, verifying magic, version, the
+    /// header/metadata checksums and every index page. The header, the
+    /// metadata and one fence trail per index page become resident;
+    /// `options.cache_budget` bounds everything else.
     ///
     /// (`options.page_size` is ignored on open — the file's recorded page
     /// size wins.)
@@ -270,12 +280,45 @@ impl PagedDictionary {
         }
 
         let pager = Pager::new(file, page_size, header.total_pages(), options.cache_budget);
-        Ok(Self {
+        let mut store = Self {
             path,
             header,
             meta,
+            fences: Vec::new(),
             pager: Mutex::new(pager),
-        })
+        };
+        store.fences = store.read_fences()?;
+        Ok(store)
+    }
+
+    /// Reads every index page once and collects its first trail — the
+    /// fence keys [`PagedDictionary::lookup`] binary-searches in RAM.
+    fn read_fences(&self) -> Result<Vec<u128>, StoreError> {
+        let trail_words = self.header.trail_words as usize;
+        let mut pager = self.lock_pager();
+        let mut fences: Vec<u128> = Vec::new();
+        let mut current = Vec::with_capacity(trail_words);
+        for page_index in 0..self.header.index_pages {
+            let page = pager.page(self.header.index_start() + page_index)?;
+            current.clear();
+            if self
+                .decode_entry(&page, &mut 0, &mut current, page_index)?
+                .is_none()
+            {
+                return Err(StoreError::Corrupt(format!(
+                    "index page {page_index} holds no entries"
+                )));
+            }
+            if let Some(previous) = fences.len().checked_sub(trail_words) {
+                if fences[previous..] >= current[..] {
+                    return Err(StoreError::Corrupt(format!(
+                        "index page {page_index} does not sort after its predecessor"
+                    )));
+                }
+            }
+            fences.extend_from_slice(&current);
+        }
+        Ok(fences)
     }
 
     /// The file the dictionary is served from.
@@ -356,15 +399,14 @@ impl PagedDictionary {
             .map(|word| word.to_bits())
             .collect();
 
-        let mut pager = self.lock_pager();
-        // Binary search for the last index page whose first trail is <=
-        // the target.
-        let mut low = 0u32;
-        let mut high = self.header.index_pages;
+        // Binary search the resident fences for the last index page whose
+        // first trail is <= the target.
+        let mut low = 0usize;
+        let mut high = self.fences.len() / trail_words;
         while low < high {
             let mid = low + (high - low) / 2;
-            let first = self.first_trail(&mut pager, mid)?;
-            if first.as_slice() <= target.as_slice() {
+            let fence = &self.fences[mid * trail_words..(mid + 1) * trail_words];
+            if fence <= target.as_slice() {
                 low = mid + 1;
             } else {
                 high = mid;
@@ -373,22 +415,20 @@ impl PagedDictionary {
         let Some(page_index) = low.checked_sub(1) else {
             return Ok(None); // target sorts before the first indexed trail
         };
+        let page_index = page_index as u32;
 
         // Scan the page, reconstructing prefix-compressed trails.
+        let mut pager = self.lock_pager();
         let page = pager.page(self.header.index_start() + page_index)?;
         let mut at = 0usize;
         let mut current: Vec<u128> = Vec::with_capacity(trail_words);
         while let Some(entry) = self.decode_entry(&page, &mut at, &mut current, page_index)? {
             if current.as_slice() == target.as_slice() {
-                let injections = self.read_injections(&mut pager, entry, page_index)?;
-                let signatures = current
-                    .iter()
-                    .map(|&bits| Word::from_bits(bits, width))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| StoreError::Corrupt(format!("stored trail word: {e}")))?;
+                // The stored words equal the target's bits at the
+                // target's (checked) width: the class trail is the query.
                 return Ok(Some(AmbiguityClass {
-                    trail: SignatureTrail::new(signatures),
-                    injections,
+                    trail: trail.clone(),
+                    injections: self.read_injections(&mut pager, entry, page_index)?,
                 }));
             }
             if current.as_slice() > target.as_slice() {
@@ -444,19 +484,6 @@ impl PagedDictionary {
             undetected,
         )
         .map_err(StoreError::Repair)
-    }
-
-    /// First trail of an index page (page-relative index).
-    fn first_trail(&self, pager: &mut Pager, page_index: u32) -> Result<Vec<u128>, StoreError> {
-        let page = pager.page(self.header.index_start() + page_index)?;
-        let mut at = 0usize;
-        let mut current = Vec::new();
-        match self.decode_entry(&page, &mut at, &mut current, page_index)? {
-            Some(_) => Ok(current),
-            None => Err(StoreError::Corrupt(format!(
-                "index page {page_index} holds no entries"
-            ))),
-        }
     }
 
     /// Decodes the entry at `*at`, advancing the cursor and rebuilding
@@ -539,8 +566,16 @@ impl PagedDictionary {
     }
 
     /// Reads `len` payload bytes from the linear payload stream starting
-    /// at `pos` (records may span pages).
-    fn read_payload(&self, pager: &mut Pager, pos: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+    /// at `pos` (records may span pages). `held` carries the last page
+    /// fetched across calls, so consecutive reads of one record fetch
+    /// each of its pages once.
+    fn read_payload(
+        &self,
+        pager: &mut Pager,
+        pos: u64,
+        len: usize,
+        held: &mut Option<(u32, Arc<[u8]>)>,
+    ) -> Result<Vec<u8>, StoreError> {
         let capacity = self.header.capacity() as u64;
         if pos + len as u64 > self.header.payload_bytes {
             return Err(StoreError::Corrupt(format!(
@@ -555,7 +590,14 @@ impl PagedDictionary {
             let page_index = u32::try_from(pos / capacity)
                 .map_err(|_| StoreError::Corrupt("payload position exceeds u32 pages".into()))?;
             let offset = (pos % capacity) as usize;
-            let page = pager.page(self.header.payload_start() + page_index)?;
+            let page = match held {
+                Some((index, page)) if *index == page_index => Arc::clone(page),
+                _ => {
+                    let page = pager.page(self.header.payload_start() + page_index)?;
+                    *held = Some((page_index, Arc::clone(&page)));
+                    page
+                }
+            };
             let take = remaining.min(page.len() - offset);
             out.extend_from_slice(&page[offset..offset + take]);
             pos += take as u64;
@@ -570,9 +612,10 @@ impl PagedDictionary {
         pager: &mut Pager,
         pos: u64,
     ) -> Result<T, StoreError> {
-        let len_bytes = self.read_payload(pager, pos, 4)?;
+        let mut held = None;
+        let len_bytes = self.read_payload(pager, pos, 4, &mut held)?;
         let len = u32::from_le_bytes(len_bytes.as_slice().try_into().expect("4 bytes")) as usize;
-        let bytes = self.read_payload(pager, pos + 4, len)?;
+        let bytes = self.read_payload(pager, pos + 4, len, &mut held)?;
         Ok(wire::from_bytes(&bytes)?)
     }
 
@@ -790,7 +833,7 @@ mod tests {
         // Every class, bit-identical, via the streaming iterator...
         let streamed: Vec<AmbiguityClass> = store.iter().map(Result::unwrap).collect();
         assert_eq!(streamed.as_slice(), dictionary.classes());
-        // ...and via point lookups (disk-served binary search).
+        // ...and via point lookups (fence search, one index page each).
         for class in dictionary.classes() {
             assert_eq!(store.lookup(&class.trail).unwrap().as_ref(), Some(class));
         }
@@ -810,6 +853,72 @@ mod tests {
         }
         let short = SignatureTrail::new(vec![Word::zeros(4)]);
         assert_eq!(store.lookup(&short).unwrap(), None);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn lookups_read_one_index_page_plus_their_record() {
+        let dictionary = dictionary(8, 4, 40);
+        let path = temp_store("reads-per-lookup");
+        // A zero budget caches nothing, so every page request is a miss:
+        // `misses` counts disk reads.
+        let options = StoreOptions {
+            page_size: 256,
+            cache_budget: 0,
+        };
+        PagedDictionary::write(&dictionary, &path, &options).unwrap();
+        let store = PagedDictionary::open(&path, &options).unwrap();
+        let index_pages = store.header.index_pages;
+        assert!(index_pages >= 8, "test must span many index pages");
+        let capacity = store.header.capacity() as u64;
+
+        // Each class's payload record span, read straight off the index.
+        let mut spans = Vec::new();
+        for page_index in 0..index_pages {
+            let page = store
+                .lock_pager()
+                .page(store.header.index_start() + page_index)
+                .unwrap();
+            let (mut at, mut current) = (0, Vec::new());
+            while let Some(entry) = store
+                .decode_entry(&page, &mut at, &mut current, page_index)
+                .unwrap()
+            {
+                let pos = u64::from(entry.handle_page) * capacity + u64::from(entry.handle_offset);
+                let len = u32::from_le_bytes(
+                    store
+                        .read_payload(&mut store.lock_pager(), pos, 4, &mut None)
+                        .unwrap()
+                        .try_into()
+                        .unwrap(),
+                );
+                let end = pos + 4 + u64::from(len) - 1;
+                spans.push(end / capacity - pos / capacity + 1);
+            }
+        }
+        assert_eq!(spans.len(), dictionary.classes().len());
+        assert!(
+            spans.iter().any(|&pages| pages > 1),
+            "some record must span pages"
+        );
+
+        for (class, payload_pages) in dictionary.classes().iter().zip(spans) {
+            let before = store.cache_metrics().misses;
+            assert_eq!(store.lookup(&class.trail).unwrap().as_ref(), Some(class));
+            assert_eq!(
+                store.cache_metrics().misses - before,
+                1 + payload_pages,
+                "a hit reads one index page plus the pages its record spans"
+            );
+        }
+
+        // A trail sorting before the first fence is answered from RAM.
+        let first = &dictionary.classes()[0].trail;
+        let below = SignatureTrail::new(vec![Word::zeros(4); first.len()]);
+        assert!(&below < first, "all-zero trail must sort first");
+        let before = store.cache_metrics().misses;
+        assert_eq!(store.lookup(&below).unwrap(), None);
+        assert_eq!(store.cache_metrics().misses, before, "no page read");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,11 +1,12 @@
 //! The [`Pager`]: checksum-verified page reads behind a bounded LRU
 //! cache.
 //!
-//! Lookups against a paged dictionary touch a handful of index and
-//! payload pages; the pager keeps the hot ones resident under a
-//! configurable **byte budget** and evicts least-recently-used pages
-//! beyond it, so serving memory is bounded by the budget — not by the
-//! dictionary size. [`PageCacheMetrics`] mirrors the fleet runtime
+//! A lookup against a paged dictionary touches one index page (picked
+//! by the resident fence keys) and the payload pages of one record; the
+//! pager keeps the hot ones resident under a configurable **byte
+//! budget** and evicts least-recently-used pages beyond it. Serving
+//! memory is the header, the metadata, one fence trail per index page
+//! and this budget — not the dictionary size. [`PageCacheMetrics`] mirrors the fleet runtime
 //! cache's hit/miss/eviction counters so deployments can size the budget
 //! from observed hit rates.
 

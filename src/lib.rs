@@ -341,6 +341,10 @@
 //! )?;
 //! let diagnosis = localise_trail(&paged, paged.reference_trail())?;
 //! assert!(diagnosis.clean);
+//! // Opening read every index page once (the resident fence keys); an
+//! // indexed trail is then served from the pages the cache kept.
+//! let class = paged.iter().next().expect("an indexed class")?;
+//! assert!(localise_trail(&paged, &class.trail)?.dictionary_hit);
 //! assert!(paged.cache_metrics().hit_rate() > 0.0);
 //! # std::fs::remove_file(&path)?;
 //! # Ok(())
