@@ -42,10 +42,11 @@
 //!   [`std::io::Read`]/[`std::io::Write`] with [`wire::write_to`] /
 //!   [`wire::read_from`].
 //! * [`tcp`] — [`TcpFront`]/[`FleetClient`]: a length-prefixed blocking
-//!   TCP framing of the same request/response pairs. Every frame leaves
-//!   in one write on a `TCP_NODELAY` socket: a round trip is
-//!   write-write-read, and on a Nagle socket the second write would wait
-//!   for the peer's delayed ACK (tens of milliseconds per request).
+//!   TCP framing of the same request/response pairs over the shared
+//!   [`twm_obs::listen`] core. Every frame leaves in one write on a
+//!   `TCP_NODELAY` socket: a round trip is write-write-read, and on a
+//!   Nagle socket the second write would wait for the peer's delayed
+//!   ACK (tens of milliseconds per request).
 //!
 //! ## A minimal deployment
 //!

@@ -435,8 +435,8 @@ impl FleetService {
 
     /// Binds the scrape endpoint and hands it to a detached serving
     /// thread. Failing to *bind* is a construction error; once bound,
-    /// accept-loop errors only terminate the serving thread (diagnosis
-    /// must not die with its observability).
+    /// the endpoint serves for the life of the process (failed accepts
+    /// are counted and retried, never fatal).
     fn spawn_metrics_server(addr: SocketAddr) -> Result<SocketAddr, FleetError> {
         let server = MetricsServer::bind(addr)?;
         let bound = server.local_addr()?;

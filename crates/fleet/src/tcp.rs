@@ -17,15 +17,15 @@
 //! 40 ms on Linux) because it has nothing to send yet — so every round
 //! trip would stall on the delayed-ACK clock instead of the handler.
 //!
-//! Deliberately std-only and blocking. [`TcpFront::run`] serves one
-//! connection at a time; [`TcpFront::run_concurrent`] puts the
+//! Deliberately std-only and blocking: a protocol handler over the
+//! [`twm_obs::listen`] core. [`TcpFront::run_concurrent`] puts the
 //! [`crate::Dispatcher`] thread pool behind the front — one lightweight
 //! thread per live connection feeding a fixed pool of handler workers —
-//! so multiple connections are served simultaneously, and a failed
-//! accept is counted and retried rather than ending the loop. The
-//! framing guards both sides with [`MAX_FRAME`], and [`read_frame`]
-//! grows its buffer only as payload bytes arrive, so a corrupt or
-//! hostile length prefix cannot drive an unbounded allocation.
+//! and a failed accept is counted and retried rather than ending the
+//! front. The framing guards both sides with [`MAX_FRAME`], and
+//! [`read_frame`] grows its buffer only as payload bytes arrive, so a
+//! corrupt or hostile length prefix cannot drive an unbounded
+//! allocation.
 //!
 //! The front is instrumented as an access log: a connection gauge
 //! (`twm_fleet_connections`) plus frame/byte/error and accept-error
@@ -34,11 +34,10 @@
 //! counts and error outcomes.
 
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
-use std::thread::Scope;
-use std::time::Duration;
 
+use twm_obs::listen::Listener;
 use twm_obs::{Counter, Gauge};
 
 use crate::dispatch::Dispatcher;
@@ -59,7 +58,7 @@ struct FrontObs {
     bytes_out: Counter,
     /// Frames whose payload failed to decode as a [`Request`].
     frame_errors: Counter,
-    /// Failed `accept` calls survived by [`TcpFront::run_concurrent`].
+    /// Failed `accept` calls, each retried by the listener core.
     accept_errors: Counter,
 }
 
@@ -88,10 +87,6 @@ pub const MAX_FRAME: usize = 1 << 30;
 /// actually received: one chunk (64 KiB), so a length prefix alone can
 /// never reserve more than that.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// The pause after a failed `accept` in [`TcpFront::run_concurrent`], so
-/// a persistent error (say, out of file descriptors) cannot spin the loop.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Writes one length-prefixed frame as a single vectored write (looping
 /// only on short writes), so the prefix and the payload leave together
@@ -183,7 +178,7 @@ pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, F
 /// A blocking TCP front over a shared [`FleetService`].
 #[derive(Debug)]
 pub struct TcpFront {
-    listener: TcpListener,
+    listener: Listener,
     service: Arc<FleetService>,
 }
 
@@ -195,7 +190,7 @@ impl TcpFront {
     /// [`FleetError::Io`] when the bind fails.
     pub fn bind(addr: impl ToSocketAddrs, service: Arc<FleetService>) -> Result<Self, FleetError> {
         Ok(Self {
-            listener: TcpListener::bind(addr)?,
+            listener: Listener::bind(addr, front_obs().accept_errors.clone())?,
             service,
         })
     }
@@ -209,25 +204,17 @@ impl TcpFront {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Accepts one connection and serves it to completion.
+    /// Accepts one connection (retrying failed accepts) and serves it
+    /// to completion in-process.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Io`] / [`FleetError::Wire`] from the accept or the
-    /// conversation. Malformed *requests inside* a healthy stream do not
-    /// error here — they are answered with [`Response::Error`] frames.
+    /// [`FleetError::Io`] / [`FleetError::Wire`] from the conversation.
+    /// Malformed *requests inside* a healthy stream do not error here —
+    /// they are answered with [`Response::Error`] frames.
     pub fn accept_one(&self) -> Result<(), FleetError> {
-        let (stream, _) = self.listener.accept()?;
-        self.serve_connection(stream)
-    }
-
-    /// Serves request frames on an accepted stream until the peer closes.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpFront::accept_one`].
-    pub fn serve_connection(&self, stream: TcpStream) -> Result<(), FleetError> {
-        self.serve_stream(stream, None)
+        self.listener
+            .accept_one(|stream| self.serve_stream(stream, None))
     }
 
     /// The shared conversation loop: decode, handle (in-process or
@@ -296,18 +283,6 @@ impl TcpFront {
         result
     }
 
-    /// Accepts and serves connections forever (one at a time).
-    ///
-    /// # Errors
-    ///
-    /// The first accept or conversation failure — a supervisor loop
-    /// owns the restart policy.
-    pub fn run(&self) -> Result<(), FleetError> {
-        loop {
-            self.accept_one()?;
-        }
-    }
-
     /// Accepts and serves connections forever, **concurrently**: a
     /// [`Dispatcher`] pool of `workers` threads handles requests while
     /// one lightweight thread per live connection owns its stream's
@@ -322,34 +297,10 @@ impl TcpFront {
     /// failures end only that connection.
     pub fn run_concurrent(&self, workers: usize) -> Result<(), FleetError> {
         let dispatcher = Dispatcher::new(Arc::clone(&self.service), workers);
-        std::thread::scope(|scope| loop {
-            self.accept_next(scope, &dispatcher, || {
-                self.listener.accept().map(|(stream, _)| stream)
-            });
+        self.listener.serve_forever(|stream| {
+            // A peer hanging up mid-frame is that peer's problem.
+            let _ = self.serve_stream(stream, Some(&dispatcher));
         })
-    }
-
-    /// One turn of [`TcpFront::run_concurrent`]'s loop: a stream from
-    /// `accept` is served on its own scoped thread; a failure is counted
-    /// and backed off.
-    fn accept_next<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        dispatcher: &'env Dispatcher,
-        accept: impl FnOnce() -> io::Result<TcpStream>,
-    ) {
-        match accept() {
-            Ok(stream) => {
-                scope.spawn(move || {
-                    // A peer hanging up mid-frame is that peer's problem.
-                    let _ = self.serve_stream(stream, Some(dispatcher));
-                });
-            }
-            Err(_) => {
-                front_obs().accept_errors.incr();
-                std::thread::sleep(ACCEPT_BACKOFF);
-            }
-        }
     }
 
     /// Accepts exactly `connections` connections and serves them
@@ -359,35 +310,19 @@ impl TcpFront {
     ///
     /// # Errors
     ///
-    /// The first accept failure, or the first conversation failure
-    /// among the accepted connections (all are joined first).
+    /// The first conversation failure among the accepted connections
+    /// (all are joined first); failed accepts are counted and retried.
     pub fn accept_pooled(
         &self,
         dispatcher: &Dispatcher,
         connections: usize,
     ) -> Result<(), FleetError> {
-        std::thread::scope(|scope| {
-            let mut served = Vec::with_capacity(connections);
-            let mut accepting = Ok(());
-            for _ in 0..connections {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        served
-                            .push(scope.spawn(move || self.serve_stream(stream, Some(dispatcher))));
-                    }
-                    Err(error) => {
-                        accepting = Err(FleetError::Io(error));
-                        break;
-                    }
-                }
-            }
-            let mut result = accepting;
-            for connection in served {
-                let outcome = connection.join().expect("connection thread panicked");
-                result = result.and(outcome);
-            }
-            result
-        })
+        self.listener
+            .accept_n(connections, |stream| {
+                self.serve_stream(stream, Some(dispatcher))
+            })
+            .into_iter()
+            .collect()
     }
 }
 
@@ -427,6 +362,7 @@ impl FleetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_round_trip() {
@@ -556,6 +492,74 @@ mod tests {
         assert!(matches!(read_frame(&mut reader), Err(FleetError::Wire(_))));
     }
 
+    /// A request whose encoding nests records, sequences and variants.
+    fn nested_request() -> Request {
+        Request::BuildDictionary {
+            scheme: twm_core::scheme::SchemeId::TwmTa,
+            source: twm_march::algorithms::march_c_minus(),
+            config: twm_mem::MemoryConfig::new(16, 8).unwrap(),
+            content: twm_coverage::ContentPolicy::Random { seed: 5 },
+            universe: crate::UniverseSpec::default(),
+        }
+    }
+
+    /// Hostile frame streams: arbitrary bytes (random, usually huge,
+    /// length prefixes), an honest prefix over a payload that may be
+    /// cut short or run on, and a valid request frame that may be
+    /// truncated or carry a flipped byte.
+    fn frame_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            collection::vec(any::<u8>(), 0..64),
+            (0u32..512, collection::vec(any::<u8>(), 0..512)).prop_map(|(len, payload)| {
+                let mut bytes = len.to_le_bytes().to_vec();
+                bytes.extend(payload);
+                bytes
+            }),
+            (any::<usize>(), any::<u8>(), any::<bool>(), any::<usize>()).prop_map(
+                |(at, flip, truncate, cut)| {
+                    let mut bytes = Vec::new();
+                    write_frame(&mut bytes, &wire::to_bytes(&nested_request())).unwrap();
+                    let at = at % bytes.len();
+                    bytes[at] ^= flip;
+                    if truncate {
+                        bytes.truncate(cut % bytes.len());
+                    }
+                    bytes
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Frame reading and request decoding never panic, end in a
+        /// typed outcome, and never buffer more than one chunk past the
+        /// bytes actually received (the reader asserts every offered
+        /// buffer is at most one chunk).
+        #[test]
+        fn hostile_frame_streams_get_typed_outcomes(
+            bytes in frame_bytes(),
+            step in 1usize..2 * READ_CHUNK,
+        ) {
+            let mut reader = ChunkCheckingReader { bytes: &bytes, step };
+            match read_frame(&mut reader) {
+                Ok(None) => prop_assert!(bytes.is_empty()),
+                Ok(Some(payload)) => {
+                    let received = bytes.len() - reader.bytes.len();
+                    prop_assert!(payload.capacity() <= received + READ_CHUNK);
+                    prop_assert_eq!(&payload[..], &bytes[4..received]);
+                    match wire::from_bytes::<Request>(&payload) {
+                        Ok(_) | Err(FleetError::Wire(_)) => {}
+                        Err(other) => panic!("untyped decode failure: {other}"),
+                    }
+                }
+                Err(FleetError::Wire(_)) => {}
+                Err(other) => panic!("untyped frame failure: {other}"),
+            }
+        }
+    }
+
     fn loopback_front() -> (TcpFront, Arc<FleetService>) {
         let service = Arc::new(FleetService::with_defaults().unwrap());
         let front = TcpFront::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
@@ -579,12 +583,12 @@ mod tests {
             let mut client = FleetClient::connect(addr).unwrap();
             client.request(&Request::ListShards).unwrap()
         });
-        std::thread::scope(|scope| {
-            front.accept_next(scope, &dispatcher, || Err(io::Error::other("injected")));
-            front.accept_next(scope, &dispatcher, || {
-                front.listener.accept().map(|(stream, _)| stream)
-            });
-        });
+        front
+            .listener
+            .accept_one_after([io::Error::other("injected")], |stream| {
+                front.serve_stream(stream, Some(&dispatcher))
+            })
+            .unwrap();
         assert_eq!(client.join().unwrap(), Response::Shards(Vec::new()));
         assert_eq!(front_obs().accept_errors.get(), errors + 1);
     }

@@ -2,27 +2,13 @@
 //! the serde data model.
 //!
 //! Requests, responses and persisted dictionaries all travel as
-//! length-prefixed [`serde::Value`] trees:
-//!
-//! | tag | payload |
-//! |----:|---------|
-//! | `0` | unit — empty |
-//! | `1` | bool — one byte, `0`/`1` |
-//! | `2` | unsigned — 16 bytes LE |
-//! | `3` | signed — 16 bytes LE (two's complement) |
-//! | `4` | float — 8 bytes, IEEE-754 bit pattern LE |
-//! | `5` | string — `u64` LE byte length + UTF-8 bytes |
-//! | `6` | sequence — `u64` LE element count + elements |
-//! | `7` | map — `u64` LE entry count + key/value pairs |
-//! | `8` | record — `u64` LE field count + (name string, value) pairs |
-//! | `9` | variant — name string + payload value |
-//!
-//! The byte layout is owned by [`twm_store::wire`] — the dictionary
-//! store persists the same values — and this module wraps it with the
-//! fleet's error type. Since the store grew **streaming** entry points,
-//! the fleet codec streams too: [`write_to`] / [`read_from`] encode and
-//! decode over any [`std::io::Write`] / [`std::io::Read`] without
-//! buffering the whole payload, and the original [`to_bytes`] /
+//! length-prefixed [`serde::Value`] trees. The byte layout, tag table
+//! included, is owned and documented by [`twm_store::wire`] — the
+//! dictionary store persists the same values — and this module wraps it
+//! with the fleet's error type. Since the store grew **streaming** entry
+//! points, the fleet codec streams too: [`write_to`] / [`read_from`]
+//! encode and decode over any [`std::io::Write`] / [`std::io::Read`]
+//! without buffering the whole payload, and the original [`to_bytes`] /
 //! [`from_bytes`] helpers remain as the `Vec<u8>` convenience layer.
 //! Decoding is strict: every length is bounds-checked, strings must be
 //! valid UTF-8 and [`from_bytes`] rejects trailing bytes.

@@ -20,23 +20,26 @@
 //! GET`) for a wrong method on a known path, `404` for an unknown
 //! path, `400` for an oversized, non-UTF-8 or malformed request head.
 //! Connections are HTTP/1.1 `Connection: close` — one request each —
-//! and served either serially ([`MetricsServer::run`]) or
-//! thread-per-connection ([`MetricsServer::run_concurrent`]), the same
-//! split the fleet's TCP front uses.
+//! served through the [`crate::listen`] core the fleet's TCP front
+//! shares, so a failed accept never ends the endpoint.
 //!
 //! This module retires wholesale once the workspace can depend on a
 //! real HTTP stack again (see `vendor/README.md`).
 
-use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write as _};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::listen::Listener;
 use crate::metrics::{Counter, Gauge, Registry};
 
 /// Upper bound on the request head (request line + headers) in bytes;
 /// more is answered with `400`.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// The most bytes one read adds to the request head.
+const HEAD_CHUNK: usize = 512;
 
 /// How long a connection may dribble its request head before the
 /// server gives up on it.
@@ -44,24 +47,6 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The exposition content type Prometheus expects.
 const EXPOSITION_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// Which registry a server renders on `/metrics`.
-#[derive(Debug)]
-enum Served {
-    /// The process-wide registry ([`crate::metrics::global`]).
-    Global,
-    /// A caller-owned registry (isolated tests).
-    Owned(Arc<Registry>),
-}
-
-impl Served {
-    fn registry(&self) -> &Registry {
-        match self {
-            Served::Global => crate::metrics::global(),
-            Served::Owned(registry) => registry,
-        }
-    }
-}
 
 /// Point-in-time counts of one server's HTTP traffic, from
 /// [`MetricsServer::stats`]. These live outside the served registry so
@@ -80,6 +65,8 @@ pub struct ServerStats {
     pub method_not_allowed: u64,
     /// `400` responses.
     pub bad_requests: u64,
+    /// Failed `accept` calls, each retried after a pause.
+    pub accept_errors: u64,
 }
 
 /// A blocking HTTP/1.1 listener exposing a [`Registry`] on `/metrics`
@@ -87,8 +74,10 @@ pub struct ServerStats {
 /// exact contract.
 #[derive(Debug)]
 pub struct MetricsServer {
-    listener: TcpListener,
-    served: Served,
+    listener: Listener,
+    /// The registry rendered on `/metrics`: a caller-owned one, or
+    /// `None` for the process-wide [`crate::metrics::global`].
+    owned: Option<Arc<Registry>>,
     started: Instant,
     uptime: Gauge,
     connections: Counter,
@@ -97,6 +86,7 @@ pub struct MetricsServer {
     not_found: Counter,
     method_not_allowed: Counter,
     bad_requests: Counter,
+    accept_errors: Counter,
 }
 
 impl MetricsServer {
@@ -107,7 +97,7 @@ impl MetricsServer {
     ///
     /// Propagates the bind failure.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::bind_served(addr, Served::Global)
+        Self::bind_served(addr, None)
     }
 
     /// Binds a server over a caller-owned registry — isolated tests,
@@ -117,15 +107,16 @@ impl MetricsServer {
     ///
     /// Propagates the bind failure.
     pub fn bind_registry(addr: impl ToSocketAddrs, registry: Arc<Registry>) -> io::Result<Self> {
-        Self::bind_served(addr, Served::Owned(registry))
+        Self::bind_served(addr, Some(registry))
     }
 
-    fn bind_served(addr: impl ToSocketAddrs, served: Served) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+    fn bind_served(addr: impl ToSocketAddrs, owned: Option<Arc<Registry>>) -> io::Result<Self> {
+        let accept_errors = Counter::new();
+        let listener = Listener::bind(addr, accept_errors.clone())?;
         // The two gauges the endpoint owns, registered once at bind:
         // build info is constant, uptime refreshes on each /healthz
         // (never on /metrics — scrapes stay pure).
-        let registry = served.registry();
+        let registry = owned.as_deref().unwrap_or_else(|| crate::metrics::global());
         let uptime = registry.gauge("twm_obs_http_uptime_seconds", &[]);
         registry
             .gauge(
@@ -138,7 +129,7 @@ impl MetricsServer {
             .set(1);
         Ok(Self {
             listener,
-            served,
+            owned,
             started: Instant::now(),
             uptime,
             connections: Counter::new(),
@@ -147,6 +138,7 @@ impl MetricsServer {
             not_found: Counter::new(),
             method_not_allowed: Counter::new(),
             bad_requests: Counter::new(),
+            accept_errors,
         })
     }
 
@@ -169,6 +161,7 @@ impl MetricsServer {
             not_found: self.not_found.get(),
             method_not_allowed: self.method_not_allowed.get(),
             bad_requests: self.bad_requests.get(),
+            accept_errors: self.accept_errors.get(),
         }
     }
 
@@ -176,107 +169,72 @@ impl MetricsServer {
     ///
     /// # Errors
     ///
-    /// Propagates the accept failure; errors on an accepted connection
-    /// are absorbed (the client is gone — there is nobody to tell).
+    /// None: failed accepts are counted and retried, and errors on an
+    /// accepted connection are absorbed (the client is gone — there is
+    /// nobody to tell).
     pub fn accept_one(&self) -> io::Result<()> {
-        let (stream, _peer) = self.listener.accept()?;
-        self.serve_connection(stream);
+        self.listener
+            .accept_one(|stream| self.serve_connection(stream));
         Ok(())
     }
 
-    /// Serves connections forever, one at a time.
+    /// Serves connections forever, one scoped thread per connection.
+    /// A failed accept is counted in [`ServerStats::accept_errors`] and
+    /// retried after a short pause; it never ends the loop.
     ///
     /// # Errors
     ///
-    /// Returns the first accept failure.
-    pub fn run(&self) -> io::Result<()> {
-        loop {
-            self.accept_one()?;
-        }
-    }
-
-    /// Serves connections forever, one scoped thread per connection —
-    /// the same shape as the fleet TCP front's concurrent dispatcher.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first accept failure (after live connection threads
-    /// finish).
+    /// None: the loop does not return.
     pub fn run_concurrent(&self) -> io::Result<()> {
-        std::thread::scope(|scope| loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    scope.spawn(move || self.serve_connection(stream));
-                }
-                Err(error) => return Err(error),
-            }
-        })
+        self.listener
+            .serve_forever(|stream| self.serve_connection(stream))
     }
 
     /// Serves one already-accepted connection: reads a single request,
     /// writes a single `Connection: close` response. I/O failures are
     /// absorbed — the peer has hung up, and a metrics endpoint never
     /// takes the process down with it.
-    pub fn serve_connection(&self, stream: TcpStream) {
+    fn serve_connection(&self, stream: TcpStream) {
         self.connections.incr();
         let _ = self.try_serve(stream);
     }
 
     fn try_serve(&self, mut stream: TcpStream) -> io::Result<()> {
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let head = match read_head(&mut stream) {
-            Ok(head) => head,
+        let head = read_head(&mut stream);
+        let too_large = matches!(head, Err(HeadError::TooLarge));
+        let reply = match head {
+            Ok(head) => self.route(&head),
             Err(HeadError::Io(error)) => return Err(error),
-            Err(HeadError::TooLarge) => {
-                self.bad_requests.incr();
-                let result = respond(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    b"request head too large\n",
-                    &[],
-                );
-                // Unread request bytes at close would turn the FIN into
-                // an RST and could destroy the 400 in the peer's
-                // receive buffer; briefly drain what the client already
-                // sent so the refusal actually arrives.
-                drain(&mut stream);
-                return result;
-            }
-            Err(HeadError::NotUtf8) => {
-                self.bad_requests.incr();
-                return respond(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    b"request head is not valid UTF-8\n",
-                    &[],
-                );
-            }
+            Err(HeadError::TooLarge) => self.bad_request("request head too large\n"),
+            Err(HeadError::NotUtf8) => self.bad_request("request head is not valid UTF-8\n"),
         };
-        let Some((method, target)) = parse_request_line(&head) else {
-            self.bad_requests.incr();
-            return respond(
-                &mut stream,
-                400,
-                "Bad Request",
-                b"malformed request line\n",
-                &[],
-            );
+        let result = reply.write_to(&mut stream);
+        if too_large {
+            // Unread request bytes at close would turn the FIN into an
+            // RST and could destroy the 400 in the peer's receive
+            // buffer; briefly drain what the client already sent so the
+            // refusal actually arrives.
+            drain(&mut stream);
+        }
+        result
+    }
+
+    /// The reply to one UTF-8 request head, counted by outcome.
+    fn route(&self, head: &str) -> Reply {
+        let Some((method, target)) = parse_request_line(head) else {
+            return self.bad_request("malformed request line\n");
         };
         let path = target.split('?').next().unwrap_or("");
         match (path, method) {
             ("/metrics", "GET") => {
                 self.scrapes.incr();
-                let body = self.served.registry().snapshot().expose();
-                respond_with_type(
-                    &mut stream,
-                    200,
-                    "OK",
-                    EXPOSITION_CONTENT_TYPE,
-                    body.as_bytes(),
-                    &[],
-                )
+                let registry = self
+                    .owned
+                    .as_deref()
+                    .unwrap_or_else(|| crate::metrics::global());
+                let body = registry.snapshot().expose();
+                Reply::new("200 OK", EXPOSITION_CONTENT_TYPE, body)
             }
             ("/healthz", "GET") => {
                 self.health_checks.incr();
@@ -288,36 +246,63 @@ impl MetricsServer {
                     env!("CARGO_PKG_NAME"),
                     env!("CARGO_PKG_VERSION"),
                 );
-                respond_with_type(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                )
+                Reply::new("200 OK", "application/json", body)
             }
             ("/metrics" | "/healthz", _) => {
                 self.method_not_allowed.incr();
-                respond(
-                    &mut stream,
-                    405,
-                    "Method Not Allowed",
-                    b"only GET is supported\n",
-                    &[("Allow", "GET")],
-                )
+                Reply {
+                    extra_headers: "Allow: GET\r\n",
+                    ..Reply::text("405 Method Not Allowed", "only GET is supported\n")
+                }
             }
             _ => {
                 self.not_found.incr();
-                respond(
-                    &mut stream,
-                    404,
-                    "Not Found",
-                    b"unknown path; try /metrics or /healthz\n",
-                    &[],
-                )
+                Reply::text("404 Not Found", "unknown path; try /metrics or /healthz\n")
             }
         }
+    }
+
+    fn bad_request(&self, why: &str) -> Reply {
+        self.bad_requests.incr();
+        Reply::text("400 Bad Request", why)
+    }
+}
+
+/// One `Connection: close` response, decided before anything is written.
+struct Reply {
+    /// Status code and reason phrase, e.g. `"404 Not Found"`.
+    status: &'static str,
+    content_type: &'static str,
+    body: String,
+    /// Header lines beyond the fixed ones, each ending in `\r\n`.
+    extra_headers: &'static str,
+}
+
+impl Reply {
+    fn new(status: &'static str, content_type: &'static str, body: String) -> Self {
+        Self {
+            status,
+            content_type,
+            body,
+            extra_headers: "",
+        }
+    }
+
+    fn text(status: &'static str, body: &str) -> Self {
+        Self::new(status, "text/plain; charset=utf-8", body.to_owned())
+    }
+
+    fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
+        let head = format!(
+            "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n{}\r\n",
+            self.status,
+            self.content_type,
+            self.body.len(),
+            self.extra_headers,
+        );
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(self.body.as_bytes())?;
+        stream.flush()
     }
 }
 
@@ -344,9 +329,9 @@ fn drain(stream: &mut TcpStream) {
 
 /// Reads the request head (through the blank line). Stops early if the
 /// client closes; the cap keeps a hostile peer from ballooning memory.
-fn read_head(stream: &mut TcpStream) -> Result<String, HeadError> {
+fn read_head(mut stream: impl Read) -> Result<String, HeadError> {
     let mut head = Vec::with_capacity(256);
-    let mut chunk = [0u8; 512];
+    let mut chunk = [0u8; HEAD_CHUNK];
     while !head.windows(4).any(|window| window == b"\r\n\r\n") {
         if head.len() > MAX_HEAD_BYTES {
             return Err(HeadError::TooLarge);
@@ -376,48 +361,10 @@ fn parse_request_line(head: &str) -> Option<(&str, &str)> {
     well_formed.then_some((method, target))
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    body: &[u8],
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    respond_with_type(
-        stream,
-        status,
-        reason,
-        "text/plain; charset=utf-8",
-        body,
-        extra_headers,
-    )
-}
-
-fn respond_with_type(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    use std::fmt::Write as _;
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len(),
-    );
-    for (name, value) in extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_lines_parse_strictly() {
@@ -439,6 +386,111 @@ mod tests {
             " /metrics HTTP/1.1",
         ] {
             assert_eq!(parse_request_line(bad), None, "accepted: {bad:?}");
+        }
+    }
+
+    /// The bug a single failed accept used to be: it ended
+    /// `run_concurrent`, and with it `/metrics` and `/healthz` for the
+    /// life of the process. On the listener core it is counted and the
+    /// next connection is served.
+    #[test]
+    fn a_failed_accept_is_counted_and_scrapes_keep_answering() {
+        let registry = Arc::new(Registry::new());
+        registry.counter("after_accept_error_total", &[]).incr();
+        let server = MetricsServer::bind_registry("127.0.0.1:0", registry.clone()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        });
+        server
+            .listener
+            .accept_one_after([io::Error::other("injected")], |stream| {
+                server.serve_connection(stream);
+            });
+        let response = client.join().unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(
+            response.ends_with(&registry.snapshot().expose()),
+            "{response}"
+        );
+        let stats = server.stats();
+        assert_eq!(stats.accept_errors, 1);
+        assert_eq!(stats.scrapes, 1);
+    }
+
+    /// Serves `bytes` in reads of at most `step` bytes.
+    struct ShortReads<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let count = buf.len().min(self.step).min(self.bytes.len());
+            buf[..count].copy_from_slice(&self.bytes[..count]);
+            self.bytes = &self.bytes[count..];
+            Ok(count)
+        }
+    }
+
+    /// One server for every fuzz case, over a registry of its own.
+    fn fuzz_server() -> &'static MetricsServer {
+        static SERVER: std::sync::OnceLock<MetricsServer> = std::sync::OnceLock::new();
+        SERVER.get_or_init(|| {
+            MetricsServer::bind_registry("127.0.0.1:0", Arc::new(Registry::new())).unwrap()
+        })
+    }
+
+    /// Hostile request heads: arbitrary bytes, ASCII junk, a
+    /// well-formed request line followed by ASCII junk, and floods past
+    /// the head cap.
+    fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            collection::vec(any::<u8>(), 0..600),
+            collection::vec(0u8..128, 0..600),
+            collection::vec(0u8..128, 0..64).prop_map(|tail| {
+                let mut bytes = b"GET /metrics HTTP/1.1\r\n".to_vec();
+                bytes.extend(tail);
+                bytes
+            }),
+            (any::<u8>(), 0usize..3 * MAX_HEAD_BYTES).prop_map(|(byte, len)| vec![byte; len]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The head reader, request-line parser and router never panic,
+        /// bound the head at the cap plus one read, and answer anything
+        /// that is not a well-formed request line with a 400 (heads
+        /// that fail to read are answered with one by `try_serve`).
+        #[test]
+        fn hostile_heads_get_typed_outcomes(bytes in request_bytes(), step in 1usize..1024) {
+            let outcome = read_head(ShortReads { bytes: &bytes, step });
+            match outcome {
+                Ok(head) => {
+                    prop_assert!(head.len() <= MAX_HEAD_BYTES + HEAD_CHUNK);
+                    prop_assert!(bytes.starts_with(head.as_bytes()));
+                    let status = fuzz_server().route(&head).status;
+                    match parse_request_line(&head) {
+                        None => prop_assert_eq!(status, "400 Bad Request"),
+                        Some((method, target)) => {
+                            prop_assert!(!method.is_empty() && !method.contains(' '));
+                            prop_assert!(target.starts_with('/') && !target.contains(' '));
+                            prop_assert!(["200", "404", "405"].contains(&&status[..3]), "{status}");
+                        }
+                    }
+                }
+                Err(HeadError::TooLarge) => prop_assert!(bytes.len() > MAX_HEAD_BYTES),
+                Err(HeadError::NotUtf8) => prop_assert!(!bytes.is_ascii()),
+                Err(HeadError::Io(error)) => panic!("in-memory reads cannot fail: {error}"),
+            }
         }
     }
 }

@@ -26,10 +26,13 @@
 //!   volume under load. Lossy sinks count their losses
 //!   (`twm_obs_sink_write_errors_total`, `twm_obs_ring_dropped_records`)
 //!   so dropped records are visible on any scrape.
-//! * [`http`] — a minimal std-only HTTP/1.1 [`MetricsServer`] serving
-//!   `GET /metrics` (the exposition of one snapshot, with **zero**
-//!   registry mutation per scrape) and `GET /healthz` (uptime +
-//!   build-info gauges), with typed 400/404/405 handling — a stock
+//! * [`listen`] — the one std-only [`listen::Listener`] core every
+//!   socket front is a protocol handler over: a thread per connection
+//!   and one accept-error policy (count, back off, keep serving).
+//! * [`http`] — a minimal std-only HTTP/1.1 [`MetricsServer`] on that
+//!   core, serving `GET /metrics` (the exposition of one snapshot, with
+//!   **zero** registry mutation per scrape) and `GET /healthz` (uptime
+//!   and build-info gauges), with typed 400/404/405 handling — a stock
 //!   Prometheus scrapes a live process without the fleet's frame
 //!   protocol.
 //! * [`profile`] — a [`ProfilerSink`] folding the span stream into
@@ -91,15 +94,17 @@
 //! let p99 = latency.snapshot().quantile(0.99).unwrap();
 //! assert!(p99 >= 1_000.0);
 //!
-//! // `GET http://127.0.0.1:9090/metrics` now returns the exposition.
+//! // `GET http://127.0.0.1:9090/metrics` now returns the exposition;
+//! // the loop serves a thread per connection and never returns.
 //! let server = MetricsServer::bind("127.0.0.1:9090").unwrap();
-//! server.run_concurrent().unwrap();
+//! let _ = server.run_concurrent();
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod http;
+pub mod listen;
 pub mod metrics;
 pub mod profile;
 pub mod trace;
