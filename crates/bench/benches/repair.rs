@@ -23,7 +23,7 @@ const WORDS: usize = 8;
 const WIDTH: usize = 32;
 const SEED: u64 = 99;
 
-fn scheme_engine(config: MemoryConfig) -> CoverageEngine {
+fn scheme_engine(config: MemoryConfig, strategy: Strategy) -> CoverageEngine {
     let registry = SchemeRegistry::comparison(WIDTH).unwrap();
     CoverageEngine::for_scheme(
         registry.get(SchemeId::TwmTa).unwrap(),
@@ -32,6 +32,7 @@ fn scheme_engine(config: MemoryConfig) -> CoverageEngine {
     )
     .unwrap()
     .content(ContentPolicy::Random { seed: SEED })
+    .strategy(strategy)
     .build()
     .unwrap()
 }
@@ -40,14 +41,11 @@ fn bench_dictionary_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("dictionary_build");
     group.sample_size(10);
     let config = MemoryConfig::new(WORDS, WIDTH).unwrap();
-    let engine = scheme_engine(config);
     let universe = UniverseBuilder::new(config).stuck_at().transition().build();
     group.throughput(Throughput::Elements(universe.len() as u64));
+    let options = DictionaryOptions::default();
     for (label, strategy) in [("serial", Strategy::Serial), ("parallel", Strategy::Auto)] {
-        let options = DictionaryOptions {
-            strategy,
-            ..DictionaryOptions::default()
-        };
+        let engine = scheme_engine(config, strategy);
         group.bench_with_input(
             BenchmarkId::new(label, universe.len()),
             &universe,
@@ -65,7 +63,7 @@ fn bench_localise_and_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("repair_flow");
     group.sample_size(10);
     let config = MemoryConfig::new(WORDS, WIDTH).unwrap();
-    let engine = scheme_engine(config);
+    let engine = scheme_engine(config, Strategy::Auto);
     let universe = UniverseBuilder::new(config).stuck_at().transition().build();
     let dictionary =
         SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();

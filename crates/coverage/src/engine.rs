@@ -58,7 +58,6 @@ use std::sync::OnceLock;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-#[cfg(feature = "parallel")]
 use crate::pool::WorkerPool;
 
 use serde::{Deserialize, Serialize};
@@ -91,17 +90,12 @@ pub enum Strategy {
     /// `TWM_COVERAGE_THREADS` environment variable remains supported as a
     /// documented deployment fallback and overrides the probe when set to a
     /// positive integer; an explicit [`Strategy::Parallel`] beats both.
-    ///
-    /// Without the `parallel` crate feature this resolves to one worker
-    /// (serial execution) at build time.
     #[default]
     Auto,
     /// Fan out across exactly `threads` worker threads.
     ///
     /// `threads == 0` is rejected by [`CoverageEngineBuilder::build`] with
-    /// [`CoverageError::ZeroThreads`] — there is no silent clamp. Without
-    /// the `parallel` crate feature the engine executes serially regardless
-    /// (the feature is a compile-time capability, not a runtime setting).
+    /// [`CoverageError::ZeroThreads`] — there is no silent clamp.
     Parallel {
         /// Number of worker threads; must be non-zero.
         threads: usize,
@@ -122,9 +116,7 @@ impl Strategy {
         match self {
             Strategy::Serial => Ok(1),
             Strategy::Parallel { threads: 0 } => Err(CoverageError::ZeroThreads),
-            #[cfg(feature = "parallel")]
             Strategy::Parallel { threads } => Ok(threads),
-            #[cfg(feature = "parallel")]
             Strategy::Auto => Ok(std::env::var("TWM_COVERAGE_THREADS")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
@@ -132,8 +124,6 @@ impl Strategy {
                 .unwrap_or_else(|| {
                     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
                 })),
-            #[cfg(not(feature = "parallel"))]
-            Strategy::Parallel { .. } | Strategy::Auto => Ok(1),
         }
     }
 }
@@ -276,9 +266,7 @@ impl CoverageEngineBuilder {
             threads,
             lane_batching: self.lane_batching,
             pool: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             scratch: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             workers: Arc::new(OnceLock::new()),
         })
     }
@@ -316,7 +304,6 @@ const STREAM_CHUNK: usize = 32;
 /// expensive faults rebalances across workers (the historical contiguous
 /// 32-fault chunks stalled the window barrier on an unlucky chunk), large
 /// enough to keep cursor contention negligible.
-#[cfg(feature = "parallel")]
 const STEAL_GRAIN: usize = 4;
 
 /// Process-wide engine counters in the [`twm_obs::global`] registry.
@@ -336,9 +323,7 @@ struct EngineObs {
     /// report.
     scalar_faults: twm_obs::Counter,
     /// Work items claimed from a shared steal cursor (batched-report
-    /// items and streaming-window grains). Only the parallel feature
-    /// has a cursor to steal from.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+    /// items and streaming-window grains).
     window_steals: twm_obs::Counter,
     /// Streaming windows evaluated by `verdicts`.
     verdict_windows: twm_obs::Counter,
@@ -371,7 +356,6 @@ fn engine_obs() -> &'static EngineObs {
 /// One parallel worker's slot-tagged verdict output for a streaming window:
 /// `(window slot, verdict)` pairs, merged back in slot order so work-stealing
 /// never changes the stream. Pooled on the engine across windows.
-#[cfg(feature = "parallel")]
 type VerdictScratch = Vec<(usize, Result<bool, CoverageError>)>;
 
 /// Estimated relative cost of one fault-injection run, used by
@@ -416,12 +400,11 @@ pub struct CoverageEngine {
     /// Checked-in per-worker verdict scratch buffers for parallel streaming
     /// windows, so long verdict streams reallocate nothing per window.
     /// Bounded like `pool`.
-    #[cfg(feature = "parallel")]
     scratch: Mutex<Vec<VerdictScratch>>,
-    /// Persistent window workers, created lazily on the first parallel
-    /// window and shared (`Arc`) with [`CoverageEngine::with_test`]
-    /// siblings so candidate loops amortise thread creation too.
-    #[cfg(feature = "parallel")]
+    /// The persistent worker pool ([`CoverageEngine::worker_pool`]),
+    /// created lazily on first use and shared (`Arc`) with
+    /// [`CoverageEngine::with_test`] siblings so candidate loops amortise
+    /// thread creation too.
     workers: Arc<OnceLock<WorkerPool>>,
 }
 
@@ -466,9 +449,7 @@ impl CoverageEngine {
             threads: self.threads,
             lane_batching: self.lane_batching,
             pool: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             scratch: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             workers: Arc::clone(&self.workers),
         })
     }
@@ -715,17 +696,8 @@ impl CoverageEngine {
             {
                 return Ok(None);
             }
-        } else {
-            #[cfg(feature = "parallel")]
-            {
-                if !self.batched_parallel(universe, &batches, &scalar, &mut detected) {
-                    return Ok(None);
-                }
-            }
-            #[cfg(not(feature = "parallel"))]
-            {
-                unreachable!("threads resolve to 1 without the parallel feature")
-            }
+        } else if !self.batched_parallel(universe, &batches, &scalar, &mut detected) {
+            return Ok(None);
         }
 
         let mut report = CoverageReport::new(self.test.name());
@@ -768,7 +740,6 @@ impl CoverageEngine {
     /// from an atomic cursor, each tagging its verdicts with their universe
     /// slots so the merge is order-independent. Returns `false` if any
     /// fault errored (the whole pass is then discarded).
-    #[cfg(feature = "parallel")]
     fn batched_parallel(
         &self,
         universe: &[Fault],
@@ -835,7 +806,7 @@ impl CoverageEngine {
                 }
             })
             .collect();
-        let per_worker = self.workers().run(jobs);
+        let per_worker = self.worker_pool().run(jobs);
         if failed.load(Ordering::Relaxed) {
             return false;
         }
@@ -1158,6 +1129,8 @@ impl CoverageEngine {
         window: &[Fault],
         slots: &mut Vec<Option<Result<bool, CoverageError>>>,
     ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
         slots.clear();
         slots.resize_with(window.len(), || None);
         engine_obs().verdict_windows.incr();
@@ -1170,52 +1143,42 @@ impl CoverageEngine {
             self.checkin(arena);
             return;
         }
-        #[cfg(feature = "parallel")]
-        {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            let jobs: Vec<_> = (0..threads)
-                .map(|_| {
-                    move || {
-                        let mut arena = self.checkout();
-                        let mut out = self.take_scratch();
-                        let mut steals = 0u64;
-                        loop {
-                            let start = cursor.fetch_add(STEAL_GRAIN, Ordering::Relaxed);
-                            if start >= window.len() {
-                                break;
-                            }
-                            steals += 1;
-                            let end = (start + STEAL_GRAIN).min(window.len());
-                            for (offset, &fault) in window[start..end].iter().enumerate() {
-                                out.push((start + offset, self.fault_detected(&mut arena, fault)));
-                            }
+        let cursor = AtomicUsize::new(0);
+        let cursor = &cursor;
+        let jobs: Vec<_> = (0..threads)
+            .map(|_| {
+                move || {
+                    let mut arena = self.checkout();
+                    let mut out = self.take_scratch();
+                    let mut steals = 0u64;
+                    loop {
+                        let start = cursor.fetch_add(STEAL_GRAIN, Ordering::Relaxed);
+                        if start >= window.len() {
+                            break;
                         }
-                        engine_obs().window_steals.add(steals);
-                        self.checkin(arena);
-                        out
+                        steals += 1;
+                        let end = (start + STEAL_GRAIN).min(window.len());
+                        for (offset, &fault) in window[start..end].iter().enumerate() {
+                            out.push((start + offset, self.fault_detected(&mut arena, fault)));
+                        }
                     }
-                })
-                .collect();
-            // Persistent pool: workers live across windows (and across
-            // `with_test` siblings).
-            for mut out in self.workers().run(jobs) {
-                for (slot, result) in out.drain(..) {
-                    slots[slot] = Some(result);
+                    engine_obs().window_steals.add(steals);
+                    self.checkin(arena);
+                    out
                 }
-                self.return_scratch(out);
+            })
+            .collect();
+        // Persistent pool: workers live across windows (and across
+        // `with_test` siblings).
+        for mut out in self.worker_pool().run(jobs) {
+            for (slot, result) in out.drain(..) {
+                slots[slot] = Some(result);
             }
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            unreachable!("threads resolve to 1 without the parallel feature")
+            self.return_scratch(out);
         }
     }
 
     /// Checks a verdict scratch buffer out of the persistent pool.
-    #[cfg(feature = "parallel")]
     fn take_scratch(&self) -> VerdictScratch {
         self.scratch
             .lock()
@@ -1225,7 +1188,6 @@ impl CoverageEngine {
     }
 
     /// Returns a (cleared) verdict scratch buffer to the persistent pool.
-    #[cfg(feature = "parallel")]
     fn return_scratch(&self, mut buffer: VerdictScratch) {
         buffer.clear();
         self.scratch
@@ -1234,9 +1196,17 @@ impl CoverageEngine {
             .push(buffer);
     }
 
-    /// The engine's persistent window workers, created on first use.
-    #[cfg(feature = "parallel")]
-    fn workers(&self) -> &WorkerPool {
+    /// The engine's persistent worker pool: `worker_threads() - 1`
+    /// threads (the caller of a fan-out is the last worker), created on
+    /// first use and shared with the engine's [`CoverageEngine::with_test`]
+    /// and [`CoverageEngine::with_scheme`] siblings.
+    ///
+    /// Other crates fan their own work across the engine's threads with
+    /// [`WorkerPool::map_chunks`]. Such jobs must not evaluate through
+    /// this engine or a sibling at more than one thread: that would call
+    /// back into the pool the job runs on (see [`crate::pool`]).
+    #[must_use]
+    pub fn worker_pool(&self) -> &WorkerPool {
         self.workers
             .get_or_init(|| WorkerPool::new(self.threads.saturating_sub(1)))
     }

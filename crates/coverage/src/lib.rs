@@ -65,18 +65,24 @@
 //! # }
 //! ```
 //!
-//! ## Execution strategy and the `parallel` feature
+//! ## Execution strategy
 //!
 //! Fault-injection runs are independent, so the engine fans the universe
-//! across worker threads when the `parallel` feature is enabled (it is on
-//! by default). The strategy is explicit on the builder:
-//! [`Strategy::Serial`], [`Strategy::Parallel`]` { threads }` (zero is
-//! rejected with [`CoverageError::ZeroThreads`], never clamped), or the
-//! default [`Strategy::Auto`] — available parallelism, overridable with the
+//! across worker threads. The strategy is explicit on the builder and is
+//! the one serial/parallel switch of the stack: [`Strategy::Serial`],
+//! [`Strategy::Parallel`]` { threads }` (zero is rejected with
+//! [`CoverageError::ZeroThreads`], never clamped), or the default
+//! [`Strategy::Auto`] — available parallelism, overridable with the
 //! documented `TWM_COVERAGE_THREADS` environment-variable fallback.
 //! Verdicts are merged back in universe order, so the produced
 //! [`CoverageReport`] is **bit-identical** to the serial reference for any
 //! thread count (property-tested in `tests/engine_streaming.rs`).
+//!
+//! The workers are a persistent [`WorkerPool`], shared by an engine and
+//! its siblings ([`CoverageEngine::worker_pool`]). Crates that fan work
+//! of their own across an engine's threads — dictionary builds, batched
+//! candidate scoring — run it on that pool with
+//! [`WorkerPool::map_chunks`].
 //!
 //! ## Migrating from the free-function API
 //!
@@ -95,8 +101,7 @@ pub mod equivalence;
 mod error;
 pub mod evaluator;
 pub mod matrix;
-#[cfg(feature = "parallel")]
-mod pool;
+pub mod pool;
 pub mod report;
 pub mod states;
 pub mod universe;
@@ -107,5 +112,6 @@ pub use equivalence::{coverage_equivalence, EquivalenceReport};
 pub use error::CoverageError;
 pub use evaluator::{fault_detected, ContentPolicy, EvaluationOptions};
 pub use matrix::{scheme_matrix, MatrixOptions, SchemeMatrix, SchemeMatrixRow};
+pub use pool::WorkerPool;
 pub use report::{ClassCoverage, CoverageReport};
 pub use universe::{CouplingScope, UniverseBuilder};

@@ -1,19 +1,27 @@
-//! A persistent scoped worker pool for the engine's streaming windows.
+//! The workspace's one persistent worker pool.
 //!
 //! [`crate::CoverageEngine`] evaluates parallel universes in bounded
 //! windows and lane batches, all of which run on one [`WorkerPool`]: the
 //! workers stay alive across windows — and, because the pool is shared
 //! (`Arc`) with [`crate::CoverageEngine::with_test`] siblings, across the
 //! thousands of candidate engines a search loop builds — so thread
-//! creation is paid once, not once per window.
+//! creation is paid once, not once per window. The other fan-outs of the
+//! stack (signature-dictionary trails, batched candidate scoring, fleet
+//! batch diagnosis) run on a pool too, through
+//! [`WorkerPool::map_chunks`].
 //!
-//! The pool offers a *scoped* execution primitive: [`WorkerPool::run`]
-//! accepts closures that borrow from the caller's stack frame and does not
-//! return until every closure has finished (or the pool panics the caller
-//! after all of them have finished), which is what makes the lifetime
-//! erasure below sound. Results come back indexed by job slot, so window
-//! verdict ordering — and therefore every report — is bit-identical to the
-//! serial path (property-tested in `tests/engine_streaming.rs`).
+//! The pool offers a *scoped* execution primitive: jobs may borrow from
+//! the caller's stack frame, and a call does not return until every job
+//! has finished (or the pool panics the caller after all of them have
+//! finished), which is what makes the lifetime erasure below sound.
+//! Results come back in input order, so window verdict ordering — and
+//! therefore every report — is bit-identical to the serial path
+//! (property-tested in `tests/engine_streaming.rs`).
+//!
+//! **Invariant: a job never calls back into the pool it runs on.** The
+//! caller of a fan-out blocks until its jobs finish; a job that fanned
+//! out on the same pool from a worker thread could wait on tasks queued
+//! behind itself, with every worker blocked the same way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
@@ -34,8 +42,12 @@ impl Drop for DoneGuard {
 }
 
 /// A fixed-size pool of persistent worker threads executing scoped jobs.
+///
+/// The thread that submits work acts as one more worker, so a fan-out
+/// over `t` threads needs a pool of `t - 1`. See the
+/// [module docs](self) for the invariant every job must keep.
 #[derive(Debug)]
-pub(crate) struct WorkerPool {
+pub struct WorkerPool {
     /// Job intake; `None` after shutdown. A `Mutex` because `mpsc::Sender`
     /// is `!Sync` and the engine is `Sync`.
     sender: Mutex<Option<mpsc::Sender<Task>>>,
@@ -43,10 +55,12 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` persistent threads (the caller of
-    /// [`WorkerPool::run`] acts as one more, so an engine resolved to `t`
-    /// threads builds a pool of `t - 1` workers).
-    pub(crate) fn new(workers: usize) -> Self {
+    /// Spawns `workers` persistent threads (the calling thread of every
+    /// fan-out acts as one more, so an engine resolved to `t` threads
+    /// builds a pool of `t - 1` workers). Zero workers is valid: every
+    /// job then runs on the caller.
+    #[must_use]
+    pub fn new(workers: usize) -> Self {
         let (sender, receiver) = mpsc::channel::<Task>();
         let receiver = Arc::new(Mutex::new(receiver));
         let handles = (0..workers)
@@ -75,6 +89,31 @@ impl WorkerPool {
             sender: Mutex::new(Some(sender)),
             handles: Mutex::new(handles),
         }
+    }
+
+    /// Maps `f` over `items` in `chunks` contiguous chunks, one job per
+    /// chunk, and returns the results in item order — identical to
+    /// `items.iter().map(f).collect()` for any chunk count.
+    ///
+    /// The first chunk runs on the calling thread. Empty input returns
+    /// an empty vector; `chunks` of 0 or 1, or more chunks than items,
+    /// are fine (no chunk is ever empty). A panic in `f` is re-raised
+    /// here after every chunk has finished, and the pool keeps serving.
+    pub fn map_chunks<T, R, F>(&self, items: &[T], chunks: usize, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        if chunks <= 1 || items.len() <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let f = &f;
+        let jobs: Vec<_> = items
+            .chunks(items.len().div_ceil(chunks))
+            .map(|chunk| move || chunk.iter().map(f).collect::<Vec<R>>())
+            .collect();
+        self.run(jobs).into_iter().flatten().collect()
     }
 
     /// Runs `jobs` to completion, returning their results in job order.
@@ -152,7 +191,7 @@ impl WorkerPool {
         }
         assert!(
             received == submitted,
-            "a coverage pool task panicked ({received}/{submitted} results)"
+            "a pool task panicked ({received}/{submitted} results)"
         );
         slots
             .into_iter()
@@ -179,6 +218,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_job_order() {
@@ -190,6 +230,15 @@ mod tests {
             .collect();
         let results = pool.run(jobs);
         assert_eq!(results, (0..17).map(|n| n * 2).collect::<Vec<_>>());
+        // The chunked map keeps item order for every chunk count, including
+        // more chunks than items.
+        for chunks in 0..=data.len() + 3 {
+            assert_eq!(
+                pool.map_chunks(&data, chunks, |&n| n * 2),
+                results,
+                "{chunks} chunks"
+            );
+        }
     }
 
     #[test]
@@ -226,6 +275,9 @@ mod tests {
         let pool = WorkerPool::new(1);
         let results: Vec<u8> = pool.run(Vec::<fn() -> u8>::new());
         assert!(results.is_empty());
+        for chunks in 0..3 {
+            assert!(pool.map_chunks(&[] as &[u8], chunks, |&n| n).is_empty());
+        }
     }
 
     #[test]
@@ -246,5 +298,35 @@ mod tests {
         assert!(outcome.is_err());
         // The pool survives a panicked window.
         assert_eq!(pool.run(vec![|| 7]), vec![7]);
+
+        // Chunked map: item 1 ends the caller's chunk by panicking, and no
+        // pool item finishes before that panic has started; the panic
+        // surfaces only once all of them have finished.
+        let panicking = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..8).collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_chunks(&items, 4, |&n| {
+                if n == 1 {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("item 1 fails");
+                }
+                if n >= 2 {
+                    while !panicking.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    // Outlast the caller's unwind, so a pool that re-raised
+                    // early would be caught with items unfinished.
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(finished.into_inner(), 7);
+        assert_eq!(
+            pool.map_chunks(&items, 4, |&n| n + 1),
+            (1..9).collect::<Vec<_>>()
+        );
     }
 }

@@ -80,9 +80,7 @@ fn full_sweep_detected(
 
 fn thread_strategies() -> Vec<Exec> {
     let mut strategies = vec![Exec::Serial];
-    if cfg!(feature = "parallel") {
-        strategies.extend([2usize, 3, 5, 16].map(|threads| Exec::Parallel { threads }));
-    }
+    strategies.extend([2usize, 3, 5, 16].map(|threads| Exec::Parallel { threads }));
     strategies
 }
 

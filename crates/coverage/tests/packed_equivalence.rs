@@ -10,8 +10,6 @@
 //! (`Strategy::Serial` alone no longer implies scalar evaluation — the
 //! batched path is algorithmic, not thread-based).
 
-#![cfg(feature = "parallel")]
-
 use proptest::prelude::*;
 
 use twm_core::{TransparentScheme, TwmTa};

@@ -8,8 +8,6 @@
 //! environment variable) so concurrently-running tests cannot race on
 //! process-global state and every drawn thread count is really exercised.
 
-#![cfg(feature = "parallel")]
-
 use proptest::prelude::*;
 
 use twm_core::{TransparentScheme, TwmTa};

@@ -21,11 +21,12 @@
 //!   one transform.
 //! * [`service`] — [`FleetService::handle`]: the synchronous
 //!   [`Request`] → [`Response`] core. [`Request::DiagnoseBatch`] fans
-//!   devices across worker threads and merges outcomes back into
-//!   submission order, **bit-identical to the serial path** for any
-//!   thread count.
-//! * [`dispatch`] — [`Dispatcher`]: a std-only thread pool for callers
-//!   that want queued, concurrent request handling.
+//!   devices across the service's [`twm_coverage::WorkerPool`] and
+//!   merges outcomes back into submission order, **bit-identical to the
+//!   serial path** for any thread count.
+//! * [`dispatch`] — [`Dispatcher`]: an admission gate that lets at most
+//!   `workers` requests into the service at once, each handled on its
+//!   caller's thread; a panicking handler becomes [`Response::Error`].
 //!   With [`FleetConfig::metrics_http`] set, the service also serves a
 //!   pull-based `GET /metrics` + `GET /healthz` HTTP endpoint (a
 //!   [`twm_obs::MetricsServer`] over the process-wide registry) from a
@@ -102,7 +103,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use cache::{RuntimeCache, ShardRuntime};
-pub use dispatch::{Dispatcher, Ticket};
+pub use dispatch::Dispatcher;
 pub use error::FleetError;
 pub use service::{
     BatchReport, DeviceOutcome, DeviceReport, DeviceVerdict, Diagnosis, FleetConfig, FleetService,

@@ -4,14 +4,14 @@
 //! The service is deliberately transport-free — callers hand it a
 //! [`Request`] value (decoded from the [`crate::wire`] format or built
 //! in-process) and get a [`Response`] value back. A socket server, a CI
-//! harness and the [`crate::Dispatcher`] thread pool all wrap the same
+//! harness and the [`crate::Dispatcher`] admission gate all wrap the same
 //! `handle`.
 //!
 //! ## Determinism
 //!
-//! Batched diagnosis fans devices across worker threads, but every
-//! per-device verdict is a pure function of the shard runtime and the
-//! report, results are merged back into submission order, and batch
+//! Batched diagnosis fans devices across the service's [`WorkerPool`],
+//! but every per-device verdict is a pure function of the shard runtime
+//! and the report, results are merged back into submission order, and batch
 //! statistics are folded serially from that order — so a batch response
 //! is **bit-identical to the serial path** for any thread count, and
 //! cumulative statistics (all counters additive) do not depend on how
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use twm_core::scheme::SchemeId;
-use twm_coverage::{ContentPolicy, Strategy, UniverseBuilder};
+use twm_coverage::{ContentPolicy, Strategy, UniverseBuilder, WorkerPool};
 use twm_march::MarchTest;
 use twm_mem::{FaultyMemory, MemoryConfig, RepairableMemory};
 use twm_obs::{
@@ -47,7 +47,9 @@ use crate::FleetError;
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker-thread strategy for batch fan-out, engine simulations and
-    /// server-side dictionary builds.
+    /// server-side dictionary builds. A batch fans across a pool of
+    /// `workers - 1` threads owned by the service, the handling thread
+    /// being the last worker.
     pub strategy: Strategy,
     /// LRU bound on cached shard runtimes.
     pub cache_capacity: usize,
@@ -393,6 +395,8 @@ fn batch_devices_obs() -> &'static Counter {
 pub struct FleetService {
     verify_repairs: bool,
     workers: usize,
+    /// Batch fan-out threads, shared by concurrent batches.
+    pool: WorkerPool,
     store: Mutex<DictionaryStore>,
     cache: Mutex<RuntimeCache>,
     stats: Mutex<FleetStatistics>,
@@ -426,6 +430,7 @@ impl FleetService {
         Ok(Self {
             verify_repairs: config.verify_repairs,
             workers,
+            pool: WorkerPool::new(workers - 1),
             store: Mutex::new(store),
             cache: Mutex::new(RuntimeCache::new(config.cache_capacity, config.strategy)?),
             stats: Mutex::new(FleetStatistics::default()),
@@ -691,29 +696,10 @@ impl FleetService {
             }
         };
 
-        let outcomes: Vec<DeviceOutcome> = if self.workers > 1 && reports.len() > 1 {
-            // Contiguous chunks, merged back by slot: submission order is
-            // preserved and each verdict is a pure function of (runtime,
-            // report), so the result is bit-identical to the serial loop.
-            let chunk = reports.len().div_ceil(self.workers);
-            let mut slots: Vec<Option<DeviceOutcome>> = vec![None; reports.len()];
-            std::thread::scope(|scope| {
-                for (report_chunk, slot_chunk) in reports.chunks(chunk).zip(slots.chunks_mut(chunk))
-                {
-                    scope.spawn(|| {
-                        for (report, slot) in report_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            *slot = Some(handle_one(report));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every slot is written by its chunk"))
-                .collect()
-        } else {
-            reports.iter().map(handle_one).collect()
-        };
+        // Contiguous chunks in submission order: each verdict is a pure
+        // function of (runtime, report), so the result is bit-identical to
+        // the serial loop.
+        let outcomes = self.pool.map_chunks(reports, self.workers, handle_one);
 
         // Fold statistics serially, in submission order.
         let mut statistics = FleetStatistics::default();
@@ -748,7 +734,7 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
     let diagnosis = TrailDiagnosis::from_class(&class);
     let plan = RepairAllocator::default().allocate(&diagnosis.defects, report.spares);
     let predicted_clean = if verify && plan.fully_repairs() && report.spares > 0 {
-        match verify_plan(runtime, &class, report.spares, &plan) {
+        match verify_plan(runtime, &class, &plan) {
             Ok(clean) => clean,
             Err(error) => {
                 return DeviceVerdict::Failed {
@@ -768,12 +754,12 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
 }
 
 /// Re-verifies a repair plan by simulation: inject the matched class's
-/// representative injection into a fresh memory with the device's spare
-/// budget, program the plan's remap table and re-run the scheme session.
+/// representative injection into a fresh memory with one spare per plan
+/// assignment, program the plan's remap table and re-run the scheme
+/// session.
 fn verify_plan(
     runtime: &ShardRuntime,
     class: &AmbiguityClass,
-    spares: usize,
     plan: &RepairPlan,
 ) -> Result<bool, FleetError> {
     let representative = class.injections.first().ok_or_else(|| {
@@ -785,9 +771,11 @@ fn verify_plan(
         ContentPolicy::Zeros => {}
         ContentPolicy::Random { seed } => memory.fill_random(seed),
     }
-    // Fresh spares are numbered 0.. like the allocator's slots, so the
-    // plan applies without translation.
-    let mut repairable = RepairableMemory::new(memory, spares)?;
+    // The allocator numbers its slots 0.., so a bank of one spare per
+    // assignment takes the plan without translation. Sizing it from the
+    // device-supplied budget instead would let one wire value allocate
+    // an arbitrarily large bank.
+    let mut repairable = RepairableMemory::new(memory, plan.assignments.len())?;
     plan.apply(&mut repairable)?;
     let verification = verify_repair(&runtime.probe, &mut repairable, runtime.misr.clone())?;
     Ok(verification.clean())
@@ -913,7 +901,7 @@ mod tests {
         };
         let plan = RepairAllocator::default().allocate(&[], 1);
         assert!(matches!(
-            verify_plan(&runtime, &class, 1, &plan),
+            verify_plan(&runtime, &class, &plan),
             Err(FleetError::Repair(RepairError::InvalidDictionary(_)))
         ));
     }

@@ -18,11 +18,11 @@
 //! trip would stall on the delayed-ACK clock instead of the handler.
 //!
 //! Deliberately std-only and blocking: a protocol handler over the
-//! [`twm_obs::listen`] core. [`TcpFront::run_concurrent`] puts the
-//! [`crate::Dispatcher`] thread pool behind the front — one lightweight
-//! thread per live connection feeding a fixed pool of handler workers —
-//! and a failed accept is counted and retried rather than ending the
-//! front. The framing guards both sides with [`MAX_FRAME`], and
+//! [`twm_obs::listen`] core. [`TcpFront::run_concurrent`] gives each
+//! live connection its own thread, which handles its frames itself once
+//! the [`crate::Dispatcher`] admission gate lets it in — at most
+//! `workers` requests at a time — and a failed accept is counted and
+//! retried rather than ending the front. The framing guards both sides with [`MAX_FRAME`], and
 //! [`read_frame`] grows its buffer only as payload bytes arrive, so a
 //! corrupt or hostile length prefix cannot drive an unbounded
 //! allocation.
@@ -217,8 +217,8 @@ impl TcpFront {
             .accept_one(|stream| self.serve_stream(stream, None))
     }
 
-    /// The shared conversation loop: decode, handle (in-process or
-    /// through a dispatcher pool), respond — logging every frame. Every
+    /// The shared conversation loop: decode, handle (directly or through
+    /// a dispatcher's admission gate), respond — logging every frame. Every
     /// accepted stream passes through here, which turns Nagle off on it.
     fn serve_stream(
         &self,
@@ -241,7 +241,7 @@ impl TcpFront {
                 let (response, outcome) = match wire::from_bytes::<Request>(&payload) {
                     Ok(request) => {
                         let response = match dispatcher {
-                            Some(pool) => pool.submit(request).wait(),
+                            Some(dispatcher) => dispatcher.handle(request),
                             None => self.service.handle(request),
                         };
                         (response, "ok")
@@ -283,10 +283,11 @@ impl TcpFront {
         result
     }
 
-    /// Accepts and serves connections forever, **concurrently**: a
-    /// [`Dispatcher`] pool of `workers` threads handles requests while
-    /// one lightweight thread per live connection owns its stream's
-    /// framing, so slow or held-open peers never block each other.
+    /// Accepts and serves connections forever, **concurrently**: one
+    /// thread per live connection owns its stream's framing and handles
+    /// its requests, at most `workers` at a time across connections (a
+    /// [`Dispatcher`] gate), so slow or held-open peers never block each
+    /// other.
     ///
     /// A failed accept is counted in `twm_fleet_accept_errors_total`
     /// and retried after a short pause; it never ends the loop.

@@ -416,6 +416,41 @@ fn concurrent_batches_match_serial_bit_for_bit() {
     assert_eq!(totals, expected_totals);
 }
 
+/// The device-supplied spare budget sizes nothing on the server: a report
+/// claiming 2^40 spares is verified against one spare per plan
+/// assignment and gets the verdict a one-spare report gets, instead of
+/// aborting the process on a 512 GiB spare-bank allocation.
+#[test]
+fn a_huge_spare_budget_verifies_like_a_single_spare() {
+    let source = march_c_minus();
+    let shard = ShardKey::new(config(), SchemeId::TwmTa, &source);
+    let faulty = [Fault::stuck_at(twm_mem::BitAddress::new(2, 1), true)];
+    let service = service(Strategy::Serial);
+    let verdict = |spares| {
+        let report = DeviceReport {
+            device: "budget".to_string(),
+            shard,
+            trail: device_trail(SchemeId::TwmTa, &source, &faulty),
+            spares,
+        };
+        let Response::Batch(mut batch) = service.handle(Request::DiagnoseBatch {
+            reports: vec![report],
+        }) else {
+            panic!("expected a batch response");
+        };
+        batch.outcomes.remove(0).verdict
+    };
+    let (DeviceVerdict::Diagnosed(mut huge), DeviceVerdict::Diagnosed(single)) =
+        (verdict(1 << 40), verdict(1))
+    else {
+        panic!("a detected stuck-at fault must be diagnosed");
+    };
+    assert!(single.predicted_clean);
+    assert_eq!(huge.plan.spares_available, 1 << 40);
+    huge.plan.spares_available = single.plan.spares_available;
+    assert_eq!(huge, single);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -11,11 +11,11 @@
 //! [`crate::DiagnosticSession`] then refines an ambiguity class with
 //! content-independent follow-up evidence.
 //!
-//! Builds run in parallel through the same [`Strategy`] machinery as the
-//! coverage engine and are **bit-identical for any worker-thread count**:
-//! every injection's trail is computed independently and the grouping pass
-//! is serial in universe order (property-tested in
-//! `tests/repair_properties.rs`).
+//! Builds run in parallel on the engine's own worker pool, at the
+//! engine's [`Strategy`](twm_coverage::Strategy), and are **bit-identical
+//! for any worker-thread count**: every injection's trail is computed
+//! independently and the grouping pass is serial in universe order
+//! (property-tested in `tests/repair_properties.rs`).
 
 use std::collections::BTreeMap;
 
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use twm_bist::{run_scheme_session_staged, Misr};
 use twm_core::scheme::SchemeId;
-use twm_coverage::{ContentPolicy, CoverageEngine, Strategy};
+use twm_coverage::{ContentPolicy, CoverageEngine};
 use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig, SplitMix64, Word};
 
 use crate::RepairError;
@@ -148,11 +148,12 @@ impl AmbiguityStats {
 }
 
 /// Options for [`SignatureDictionary::build`].
+///
+/// The build runs at the engine's worker-thread count
+/// ([`CoverageEngine::worker_threads`]); the produced dictionary is
+/// bit-identical for any count.
 #[derive(Debug, Clone)]
 pub struct DictionaryOptions {
-    /// Worker-thread strategy for the build (default: [`Strategy::Auto`]).
-    /// The produced dictionary is bit-identical for any resolved count.
-    pub strategy: Strategy,
     /// Number of two-fault injections to sample on top of the single-fault
     /// universe (default: 0). Sampled pairs are pre-filtered through
     /// [`CoverageEngine::injection_detected`], so only exact-oracle
@@ -167,7 +168,6 @@ pub struct DictionaryOptions {
 impl Default for DictionaryOptions {
     fn default() -> Self {
         Self {
-            strategy: Strategy::Auto,
             multi_fault_samples: 0,
             sample_seed: 0xD1C7,
             misr: None,
@@ -216,8 +216,8 @@ impl SignatureDictionary {
     /// * [`RepairError::EmptyUniverse`] for an empty universe.
     /// * [`RepairError::MisrWidthMismatch`] for a MISR template of the
     ///   wrong width.
-    /// * [`RepairError::Coverage`] for strategy resolution failures
-    ///   (`Parallel { threads: 0 }`).
+    /// * [`RepairError::Coverage`] if a sampled pair cannot be checked by
+    ///   the engine's exact oracle.
     /// * [`RepairError::Mem`] / [`RepairError::Bist`] if an injection does
     ///   not fit the memory or a session fails.
     pub fn build(
@@ -372,7 +372,6 @@ impl DictionaryStream {
             }
             None => Misr::standard(config.width()),
         };
-        let threads = options.strategy.worker_threads()?;
         let content = engine.options().content;
 
         // The fault-free reference trail: what a healthy session produces.
@@ -415,10 +414,10 @@ impl DictionaryStream {
             }
         }
 
-        // Trail computation fans across the strategy's workers; the chunks
+        // Trail computation fans across the engine's pool; the chunks
         // preserve injection order, so the serial grouping below sees the
         // same sequence for any thread count.
-        let trails = compute_trails(&injections, config, content, transform, &misr, threads)?;
+        let trails = compute_trails(engine, &injections, transform, &misr)?;
 
         let mut by_trail: BTreeMap<SignatureTrail, Vec<Vec<Fault>>> = BTreeMap::new();
         let mut undetected = Vec::new();
@@ -630,17 +629,16 @@ pub(crate) fn apply_content(memory: &mut FaultyMemory, content: ContentPolicy) {
     }
 }
 
-/// Computes every injection's signature trail, fanning chunks across
-/// `threads` workers. Chunk boundaries preserve order, so the merged
-/// result is identical for any thread count.
+/// Computes every injection's signature trail, one chunk per engine
+/// thread on the engine's worker pool. Chunk boundaries preserve order,
+/// so the merged result is identical for any thread count.
 fn compute_trails(
+    engine: &CoverageEngine,
     injections: &[Vec<Fault>],
-    config: MemoryConfig,
-    content: ContentPolicy,
     transform: &twm_core::scheme::SchemeTransform,
     misr: &Misr,
-    threads: usize,
 ) -> Result<Vec<SignatureTrail>, RepairError> {
+    let (config, content) = (engine.config(), engine.options().content);
     let trail_of = |injection: &Vec<Fault>| -> Result<SignatureTrail, RepairError> {
         let mut memory =
             FaultyMemory::with_faults(config, FaultSet::from_faults(injection.iter().copied()))?;
@@ -648,23 +646,11 @@ fn compute_trails(
         let staged = run_scheme_session_staged(transform, &mut memory, misr.clone())?;
         Ok(SignatureTrail::new(staged.signature_trail()))
     };
-
-    let workers = threads.min(injections.len()).max(1);
-    if workers <= 1 {
-        return injections.iter().map(trail_of).collect();
-    }
-    let chunk_size = injections.len().div_ceil(workers);
-    let results: Vec<Result<SignatureTrail, RepairError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = injections
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(trail_of).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("dictionary worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+    engine
+        .worker_pool()
+        .map_chunks(injections, engine.worker_threads(), trail_of)
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -726,17 +712,6 @@ mod tests {
                 }
             ),
             Err(RepairError::MisrWidthMismatch { misr: 8, memory: 4 })
-        ));
-        assert!(matches!(
-            SignatureDictionary::build(
-                &engine,
-                &saf_tf_universe(config),
-                &DictionaryOptions {
-                    strategy: Strategy::Parallel { threads: 0 },
-                    ..DictionaryOptions::default()
-                }
-            ),
-            Err(RepairError::Coverage(_))
         ));
     }
 

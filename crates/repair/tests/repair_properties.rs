@@ -112,25 +112,23 @@ fn scheme_engine(config: MemoryConfig, strategy: Strategy) -> CoverageEngine {
 }
 
 /// The dictionary must be **bit-identical** for any worker-thread count —
-/// the build fans injections across the Strategy machinery, but grouping
-/// is serial in universe order.
+/// the build fans injections across the engine's pool at its `Strategy`,
+/// but grouping is serial in universe order.
 #[test]
 fn dictionary_build_is_deterministic_across_thread_counts() {
     let config = MemoryConfig::new(6, 8).unwrap();
     let universe = UniverseBuilder::new(config).stuck_at().transition().build();
-    let options = |strategy| DictionaryOptions {
-        strategy,
+    let options = DictionaryOptions {
         multi_fault_samples: 24,
         ..DictionaryOptions::default()
     };
     let engine = scheme_engine(config, Strategy::Serial);
-    let reference =
-        SignatureDictionary::build(&engine, &universe, &options(Strategy::Serial)).unwrap();
+    let reference = SignatureDictionary::build(&engine, &universe, &options).unwrap();
     for threads in [2usize, 3, 5] {
         let parallel = SignatureDictionary::build(
             &scheme_engine(config, Strategy::Parallel { threads }),
             &universe,
-            &options(Strategy::Parallel { threads }),
+            &options,
         )
         .unwrap();
         assert_eq!(

@@ -322,43 +322,24 @@ impl Objective {
     }
 
     /// Scores a batch of candidates, fanning across the objective's worker
-    /// threads (one serial engine per candidate — the batch provides the
-    /// parallelism). Results come back in candidate order and are
-    /// bit-identical for any thread count.
+    /// threads on the parallel template engine's pool (one serial engine
+    /// per candidate — the batch provides the parallelism). Results come
+    /// back in candidate order and are bit-identical for any thread count.
     ///
     /// # Errors
     ///
     /// See [`Objective::score`]; the earliest failing candidate's error is
     /// returned.
     pub fn score_batch(&self, tests: &[MarchTest]) -> Result<Vec<Option<Score>>, SearchError> {
-        if self.threads <= 1 || tests.len() <= 1 {
-            return tests.iter().map(|test| self.score(test)).collect();
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let chunk_size = tests.len().div_ceil(self.threads);
-            let results: Vec<Result<Option<Score>, SearchError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = tests
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|test| self.score_serial(test))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("search worker panicked"))
-                    .collect()
-            });
-            results.into_iter().collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            tests.iter().map(|test| self.score(test)).collect()
+        match &self.wide_template {
+            // The serial per-candidate engines never touch the wide
+            // template's pool, so the batch can run on it.
+            Some(wide) if tests.len() > 1 => wide
+                .worker_pool()
+                .map_chunks(tests, self.threads, |test| self.score_serial(test))
+                .into_iter()
+                .collect(),
+            _ => tests.iter().map(|test| self.score(test)).collect(),
         }
     }
 

@@ -94,22 +94,17 @@ fn every_detectable_saf_tf_fault_at_8x32_repairs_to_a_clean_signature() {
 fn dictionary_build_at_8x32_is_bit_identical_for_any_thread_count() {
     let config = MemoryConfig::new(WORDS, WIDTH).unwrap();
     let universe = UniverseBuilder::new(config).stuck_at().transition().build();
-    let options = |strategy| DictionaryOptions {
-        strategy,
+    let options = DictionaryOptions {
         multi_fault_samples: 16,
         ..DictionaryOptions::default()
     };
-    let reference = SignatureDictionary::build(
-        &engine(config, Strategy::Serial),
-        &universe,
-        &options(Strategy::Serial),
-    )
-    .unwrap();
+    let reference =
+        SignatureDictionary::build(&engine(config, Strategy::Serial), &universe, &options).unwrap();
     for threads in [2usize, 3] {
         let parallel = SignatureDictionary::build(
             &engine(config, Strategy::Parallel { threads }),
             &universe,
-            &options(Strategy::Parallel { threads }),
+            &options,
         )
         .unwrap();
         assert_eq!(parallel, reference, "drift at {threads} threads");
