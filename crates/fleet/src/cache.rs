@@ -4,9 +4,23 @@
 //! A shard's runtime is what batched diagnosis needs beyond the
 //! dictionary lookup itself: the scheme registry for the memory width,
 //! the dictionary scheme's transform of the source test (the session
-//! repair verification re-runs) and the MISR template. A miss builds
-//! only those — one registry and one transform — so a shard that fell
-//! out of the cache costs microseconds to bring back.
+//! repair verification re-runs), the MISR template and a memo of the
+//! repair-plan verdicts already simulated on it. A miss builds only the
+//! first three — one registry and one transform — so a shard that fell
+//! out of the cache costs microseconds to bring back; its memo starts
+//! empty.
+//!
+//! The verdict memo maps a matched class's trail to the plan's
+//! `(word, spare)` remap and whether it re-verified clean. A plan is
+//! verified only when it fully repairs, so it covers every located word
+//! in slot order: one plan per class whatever the spare budget, and at
+//! most one memoised verdict per ambiguity class. A runtime never holds
+//! more than `VERDICT_MEMO_CAPACITY` (4096) of them; a verdict past the
+//! cap is computed and not stored. The memo lives and dies with its
+//! runtime, so the LRU bound on runtimes bounds it across the fleet too.
+//! Only a runtime the cache has handed out more than once stores
+//! verdicts: one rebuilt for every lookup would be dropped before any
+//! later batch read them.
 //!
 //! The cache also memoises one **base** [`CoverageEngine`] per
 //! `(config, content)` pair for server-side dictionary builds (kept for
@@ -15,8 +29,9 @@
 //! [`CoverageEngine::with_scheme`] sibling, which clones `Arc`s instead
 //! of regenerating contents.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use twm_bist::Misr;
 use twm_core::scheme::{SchemeRegistry, SchemeTransform};
@@ -24,8 +39,9 @@ use twm_coverage::{ContentPolicy, CoverageEngine, Strategy};
 use twm_march::MarchTest;
 use twm_mem::MemoryConfig;
 use twm_obs::Counter;
-use twm_repair::TrailLookup;
+use twm_repair::{RepairPlan, SignatureTrail, TrailLookup};
 
+use crate::service::lock;
 use crate::shard::ShardKey;
 use crate::stats::CacheMetrics;
 use crate::store::{DictionaryHandle, ShardEntry};
@@ -57,6 +73,16 @@ pub(crate) fn cache_obs() -> &'static CacheObs {
     })
 }
 
+/// The most repair-plan verdicts one [`ShardRuntime`] memoises. It holds
+/// every class of an 8×32 single-fault dictionary (at most 1024) four
+/// times over; full, with March C−'s nine-signature trails, it takes
+/// about 1.6 MB (about 400 B a verdict).
+pub(crate) const VERDICT_MEMO_CAPACITY: usize = 4096;
+
+/// Plan verdicts by matched class: the class trail maps to the plan's
+/// `(word, spare)` remap and whether the remapped memory verified clean.
+type VerdictMemo = HashMap<SignatureTrail, (Box<[(usize, usize)]>, bool)>;
+
 /// Everything a worker thread needs to diagnose one shard's reports.
 #[derive(Debug)]
 pub struct ShardRuntime {
@@ -72,6 +98,12 @@ pub struct ShardRuntime {
     pub probe: SchemeTransform,
     /// The dictionary's MISR template (reset state).
     pub misr: Misr,
+    /// Repair-plan verdicts already simulated on this runtime (see the
+    /// module docs). The lock guards one lookup or one insert, never a
+    /// session.
+    verdicts: Mutex<VerdictMemo>,
+    /// Whether the cache has handed this runtime out more than once.
+    reused: AtomicBool,
 }
 
 impl ShardRuntime {
@@ -98,7 +130,51 @@ impl ShardRuntime {
             dictionary,
             probe,
             misr,
+            verdicts: Mutex::new(HashMap::new()),
+            reused: AtomicBool::new(false),
         })
+    }
+
+    /// The memoised verdict of `plan` on the class whose trail is
+    /// `trail`, if one is stored. Allocates nothing.
+    pub(crate) fn memoised_verdict(
+        &self,
+        trail: &SignatureTrail,
+        plan: &RepairPlan,
+    ) -> Option<bool> {
+        let memo = lock(&self.verdicts);
+        let (remap, clean) = memo.get(trail)?;
+        let same_plan = remap
+            .iter()
+            .copied()
+            .eq(plan.assignments.iter().map(|a| (a.word, a.spare)));
+        same_plan.then_some(*clean)
+    }
+
+    /// Stores the verdict of `plan` on the class whose trail is `trail`,
+    /// unless the class already has one or the memo is full. Two workers
+    /// that missed together computed the same verdict, so it does not
+    /// matter whose insert lands.
+    ///
+    /// Only a runtime the cache has handed out more than once stores
+    /// verdicts. One rebuilt for every lookup, as under a cache smaller
+    /// than the shards in use, is dropped before a later batch could
+    /// read them, so storing them would only cost allocations.
+    pub(crate) fn memoise_verdict(&self, trail: &SignatureTrail, plan: &RepairPlan, clean: bool) {
+        if !self.reused.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut memo = lock(&self.verdicts);
+        if memo.len() < VERDICT_MEMO_CAPACITY && !memo.contains_key(trail) {
+            let remap = plan.assignments.iter().map(|a| (a.word, a.spare)).collect();
+            memo.insert(trail.clone(), (remap, clean));
+        }
+    }
+
+    /// The memo's lock, for tests that count or poison it.
+    #[cfg(test)]
+    pub(crate) fn verdict_memo(&self) -> &Mutex<VerdictMemo> {
+        &self.verdicts
     }
 }
 
@@ -156,6 +232,7 @@ impl RuntimeCache {
         self.clock += 1;
         if let Some((stamp, runtime)) = self.runtimes.get_mut(&key) {
             *stamp = self.clock;
+            runtime.reused.store(true, Ordering::Relaxed);
             self.hits.incr();
             cache_obs().hits.incr();
             return Ok(Arc::clone(runtime));
@@ -280,6 +357,31 @@ mod tests {
         assert_eq!(runtime.probe, expected);
         assert_eq!(runtime.registry.len(), SchemeId::all().len());
         assert_eq!(&runtime.misr, entry.dictionary.misr_template());
+    }
+
+    #[test]
+    fn only_a_reused_runtime_memoises_and_never_past_the_cap() {
+        let entry = entry(SchemeId::TwmTa);
+        let mut cache = RuntimeCache::new(1, Strategy::Serial).unwrap();
+        let key = ShardKey::new(entry.dictionary.config(), SchemeId::TwmTa, &entry.source);
+        let runtime = cache.runtime(key, &entry).unwrap();
+        let plan = twm_repair::RepairAllocator::default().allocate(&[], 1);
+        let trail =
+            |n: usize| SignatureTrail::new(vec![twm_mem::Word::from_bits(n as u128, 16).unwrap()]);
+        runtime.memoise_verdict(&trail(0), &plan, true);
+        assert_eq!(runtime.memoised_verdict(&trail(0), &plan), None);
+
+        assert!(Arc::ptr_eq(&runtime, &cache.runtime(key, &entry).unwrap()));
+        for n in 0..VERDICT_MEMO_CAPACITY + 16 {
+            runtime.memoise_verdict(&trail(n), &plan, true);
+        }
+        assert_eq!(lock(runtime.verdict_memo()).len(), VERDICT_MEMO_CAPACITY);
+        assert_eq!(runtime.memoised_verdict(&trail(0), &plan), Some(true));
+        assert_eq!(
+            runtime.memoised_verdict(&trail(VERDICT_MEMO_CAPACITY), &plan),
+            None,
+            "a verdict past the cap is not stored"
+        );
     }
 
     #[test]

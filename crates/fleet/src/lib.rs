@@ -18,7 +18,10 @@
 //! * [`cache`] — [`RuntimeCache`]: an LRU bound over per-shard
 //!   [`ShardRuntime`]s (scheme registry, the dictionary scheme's
 //!   transform, MISR template), rebuilt on miss from one registry and
-//!   one transform.
+//!   one transform. A runtime the cache reuses also memoises
+//!   repair-plan verdicts, at most one per ambiguity class up to a fixed
+//!   cap, so only the first device of a class pays for the verification
+//!   session.
 //! * [`service`] — [`FleetService::handle`]: the synchronous
 //!   [`Request`] → [`Response`] core. [`Request::DiagnoseBatch`] fans
 //!   devices across the service's [`twm_coverage::WorkerPool`] and

@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -56,6 +56,10 @@ pub struct FleetConfig {
     /// Whether diagnosed devices get their repair plan verified by
     /// simulation (apply the plan to the ambiguity class's representative
     /// injection and re-run the scheme session through the remap table).
+    /// The verdict depends only on the shard and the matched class, so
+    /// once the cache has handed a shard's runtime out again, the first
+    /// device of a class pays for the session and the runtime answers
+    /// the rest of the class from its memo.
     pub verify_repairs: bool,
     /// When set, shards whose runtimes fall out of the LRU cache are
     /// demoted to paged spill files under this configuration — lookups
@@ -386,6 +390,42 @@ fn batch_devices_obs() -> &'static Counter {
     DEVICES.get_or_init(|| twm_obs::global().counter("twm_fleet_batch_devices_total", &[]))
 }
 
+/// Repair-plan verification counters: scheme sessions run, and verdicts
+/// answered from a runtime's memo instead.
+struct VerifyObs {
+    sessions: Counter,
+    memo_hits: Counter,
+}
+
+fn verify_obs() -> &'static VerifyObs {
+    static OBS: OnceLock<VerifyObs> = OnceLock::new();
+    OBS.get_or_init(|| {
+        let registry = twm_obs::global();
+        VerifyObs {
+            sessions: registry.counter("twm_fleet_verify_sessions_total", &[]),
+            memo_hits: registry.counter("twm_fleet_verify_memo_hits_total", &[]),
+        }
+    })
+}
+
+/// Locks one of the service's mutexes, recovering the guard when an
+/// earlier holder panicked. Every guarded structure is left consistent by
+/// a panic at any point of its sections, so a poisoned lock carries no
+/// broken state and one panicking request must not fail every later one:
+///
+/// * the **store** changes by single map inserts and removes, and a spill
+///   swaps the entry's handle only after its file is written and
+///   reopened;
+/// * the **cache** builds a runtime before touching its map, and evicts
+///   and inserts with nothing fallible between them; evicted keys whose
+///   spill never ran only stay resident, which costs memory, not results;
+/// * the **statistics** are merged into a copy that replaces them whole;
+/// * a runtime's **verdict memo** changes by single inserts of verdicts
+///   computed outside the lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The in-process fleet diagnosis service.
 ///
 /// `handle` takes `&self` — the store, cache and statistics sit behind
@@ -514,12 +554,17 @@ impl FleetService {
                 universe,
             } => self.build_dictionary(scheme, source, config, content, &universe),
             Request::EvictDictionary { shard } => {
-                let existed = self.store.lock().expect("store lock").evict(shard);
-                self.cache.lock().expect("cache lock").invalidate(shard);
+                // Invalidate under the store lock, taken store → cache as
+                // a batch takes them: a registration or import under the
+                // same key must not slip in while the evicted shard's
+                // runtime is still cached and meet it in the next batch.
+                let mut store = lock(&self.store);
+                let existed = store.evict(shard);
+                lock(&self.cache).invalidate(shard);
                 Ok(Response::Evicted { shard, existed })
             }
             Request::ListShards => {
-                let store = self.store.lock().expect("store lock");
+                let store = lock(&self.store);
                 let shards = store
                     .keys()
                     .map(|shard| {
@@ -540,10 +585,7 @@ impl FleetService {
                 // Clone the `Arc`-backed entry under the lock, encode
                 // after releasing it: a spilled shard's export reads its
                 // whole file back, and batches must not wait on that.
-                let entry = self
-                    .store
-                    .lock()
-                    .expect("store lock")
+                let entry = lock(&self.store)
                     .get(shard)
                     .cloned()
                     .ok_or(FleetError::UnknownShard(shard))?;
@@ -552,20 +594,18 @@ impl FleetService {
                 Ok(Response::Exported { shard, bytes })
             }
             Request::ImportShard { bytes } => {
-                let shard = self.store.lock().expect("store lock").import(&bytes)?;
+                let shard = lock(&self.store).import(&bytes)?;
                 self.registered(shard)
             }
             Request::Statistics => {
-                let mut statistics = self.stats.lock().expect("stats lock").clone();
+                let mut statistics = lock(&self.stats).clone();
                 // Only the cumulative view carries latency: batch-level
                 // statistics stay wall-clock-free so they remain
                 // bit-identical serial vs. concurrent.
                 statistics.latency = request_latency_snapshots();
                 Ok(Response::Statistics(statistics))
             }
-            Request::CacheMetrics => Ok(Response::CacheMetrics(
-                self.cache.lock().expect("cache lock").metrics(),
-            )),
+            Request::CacheMetrics => Ok(Response::CacheMetrics(lock(&self.cache).metrics())),
             Request::Metrics => {
                 // One snapshot feeds both renderings: the text a human
                 // scrapes and the structured report a client re-renders
@@ -582,16 +622,12 @@ impl FleetService {
         source: MarchTest,
         dictionary: Arc<SignatureDictionary>,
     ) -> Result<Response, FleetError> {
-        let shard = self
-            .store
-            .lock()
-            .expect("store lock")
-            .register(source, dictionary)?;
+        let shard = lock(&self.store).register(source, dictionary)?;
         self.registered(shard)
     }
 
     fn registered(&self, shard: ShardKey) -> Result<Response, FleetError> {
-        let store = self.store.lock().expect("store lock");
+        let store = lock(&self.store);
         let entry = store.get(shard).ok_or(FleetError::UnknownShard(shard))?;
         let stats = entry.dictionary.stats();
         Ok(Response::Registered {
@@ -625,7 +661,7 @@ impl FleetService {
         }
         let faults = builder.build();
         let engine = {
-            let mut cache = self.cache.lock().expect("cache lock");
+            let mut cache = lock(&self.cache);
             cache
                 .base_engine(config, content, &source)?
                 .with_scheme(scheme_impl, &source)?
@@ -651,8 +687,8 @@ impl FleetService {
         span.field("workers", self.workers);
         let mut runtimes: BTreeMap<ShardKey, Result<Arc<ShardRuntime>, String>> = BTreeMap::new();
         {
-            let mut store = self.store.lock().expect("store lock");
-            let mut cache = self.cache.lock().expect("cache lock");
+            let mut store = lock(&self.store);
+            let mut cache = lock(&self.cache);
             for &shard in &shards {
                 let Some(entry) = store.get(shard) else {
                     continue;
@@ -706,7 +742,10 @@ impl FleetService {
         for outcome in &outcomes {
             record(&mut statistics, &outcome.verdict);
         }
-        self.stats.lock().expect("stats lock").merge(&statistics);
+        let mut cumulative = lock(&self.stats);
+        let mut merged = cumulative.clone();
+        merged.merge(&statistics);
+        *cumulative = merged;
         Ok(Response::Batch(BatchReport {
             outcomes,
             statistics,
@@ -753,11 +792,30 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
     })
 }
 
+/// Whether `plan` repairs the matched class, by simulation: the verdict
+/// of [`verify_session`], memoised on the runtime by class. On a runtime
+/// the cache has reused, the first device of a class pays for the
+/// session; every later device of the class gets the stored verdict,
+/// until the runtime leaves the cache.
+fn verify_plan(
+    runtime: &ShardRuntime,
+    class: &AmbiguityClass,
+    plan: &RepairPlan,
+) -> Result<bool, FleetError> {
+    if let Some(clean) = runtime.memoised_verdict(&class.trail, plan) {
+        verify_obs().memo_hits.incr();
+        return Ok(clean);
+    }
+    let clean = verify_session(runtime, class, plan)?;
+    runtime.memoise_verdict(&class.trail, plan, clean);
+    Ok(clean)
+}
+
 /// Re-verifies a repair plan by simulation: inject the matched class's
 /// representative injection into a fresh memory with one spare per plan
 /// assignment, program the plan's remap table and re-run the scheme
 /// session.
-fn verify_plan(
+fn verify_session(
     runtime: &ShardRuntime,
     class: &AmbiguityClass,
     plan: &RepairPlan,
@@ -777,6 +835,7 @@ fn verify_plan(
     // an arbitrarily large bank.
     let mut repairable = RepairableMemory::new(memory, plan.assignments.len())?;
     plan.apply(&mut repairable)?;
+    verify_obs().sessions.incr();
     let verification = verify_repair(&runtime.probe, &mut repairable, runtime.misr.clone())?;
     Ok(verification.clean())
 }
@@ -826,9 +885,7 @@ mod tests {
 
     use crate::store::{DictionaryHandle, ShardEntry};
 
-    /// A spilled 6×4 shard whose pager caches nothing, so page misses
-    /// count every disk read.
-    fn paged_runtime(tag: &str) -> (SignatureDictionary, Arc<PagedDictionary>, Arc<ShardRuntime>) {
+    fn dictionary() -> SignatureDictionary {
         let config = MemoryConfig::new(6, 4).unwrap();
         let registry = SchemeRegistry::all(4).unwrap();
         let engine = CoverageEngine::for_scheme(
@@ -841,8 +898,32 @@ mod tests {
         .build()
         .unwrap();
         let universe = UniverseBuilder::new(config).stuck_at().transition().build();
-        let dictionary =
-            SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
+        SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap()
+    }
+
+    fn shard() -> ShardKey {
+        ShardKey::new(
+            MemoryConfig::new(6, 4).unwrap(),
+            SchemeId::TwmTa,
+            &march_c_minus(),
+        )
+    }
+
+    /// The shard's runtime, handed out twice, so it memoises verdicts.
+    fn runtime_of(dictionary: DictionaryHandle) -> Arc<ShardRuntime> {
+        let entry = ShardEntry {
+            source: march_c_minus(),
+            dictionary,
+        };
+        let mut cache = RuntimeCache::new(1, Strategy::Serial).unwrap();
+        cache.runtime(shard(), &entry).unwrap();
+        cache.runtime(shard(), &entry).unwrap()
+    }
+
+    /// A spilled 6×4 shard whose pager caches nothing, so page misses
+    /// count every disk read.
+    fn paged_runtime(tag: &str) -> (SignatureDictionary, Arc<PagedDictionary>, Arc<ShardRuntime>) {
+        let dictionary = dictionary();
         let path = std::env::temp_dir().join(format!(
             "twm-fleet-service-{}-{tag}.twmstore",
             std::process::id()
@@ -854,16 +935,69 @@ mod tests {
         PagedDictionary::write(&dictionary, &path, &options).unwrap();
         let paged = Arc::new(PagedDictionary::open(&path, &options).unwrap());
         std::fs::remove_file(&path).unwrap();
-        let entry = ShardEntry {
-            source: march_c_minus(),
-            dictionary: DictionaryHandle::Paged(Arc::clone(&paged)),
-        };
-        let key = ShardKey::new(config, SchemeId::TwmTa, &march_c_minus());
-        let runtime = RuntimeCache::new(1, Strategy::Serial)
-            .unwrap()
-            .runtime(key, &entry)
-            .unwrap();
+        let runtime = runtime_of(DictionaryHandle::Paged(Arc::clone(&paged)));
         (dictionary, paged, runtime)
+    }
+
+    /// One report per class of `dictionary`, plus a clean device and an
+    /// off-dictionary trail.
+    fn reports(dictionary: &SignatureDictionary) -> Vec<DeviceReport> {
+        let report = |device: String, trail: SignatureTrail| DeviceReport {
+            device,
+            shard: shard(),
+            trail,
+            spares: 2,
+        };
+        let mut drifted = dictionary.reference_trail().signatures().to_vec();
+        drifted[0] = drifted[0].complement();
+        let mut reports: Vec<DeviceReport> = dictionary
+            .classes()
+            .iter()
+            .enumerate()
+            .map(|(index, class)| report(format!("class-{index}"), class.trail.clone()))
+            .collect();
+        reports.push(report("clean".into(), dictionary.reference_trail().clone()));
+        reports.push(report("drifted".into(), SignatureTrail::new(drifted)));
+        reports
+    }
+
+    /// A service serving `dictionary()` that has answered two batches of
+    /// its `reports`, so its cache holds the shard's runtime and that
+    /// runtime's memo holds verdicts.
+    fn warm_service() -> Arc<FleetService> {
+        let service = FleetService::new(FleetConfig {
+            strategy: Strategy::Serial,
+            ..FleetConfig::default()
+        })
+        .unwrap();
+        let dictionary = dictionary();
+        let reports = reports(&dictionary);
+        assert!(matches!(
+            service.register(march_c_minus(), Arc::new(dictionary)),
+            Ok(Response::Registered { .. })
+        ));
+        for _ in 0..2 {
+            assert!(matches!(
+                service.handle(Request::DiagnoseBatch {
+                    reports: reports.clone()
+                }),
+                Response::Batch(_)
+            ));
+        }
+        Arc::new(service)
+    }
+
+    /// Panics on a thread of its own while holding the lock `pick`
+    /// selects from `owner`, leaving that lock poisoned.
+    fn poison<S: Send + Sync + 'static, T: 'static>(owner: &Arc<S>, pick: fn(&S) -> &Mutex<T>) {
+        let held = Arc::clone(owner);
+        let panicked = std::thread::spawn(move || {
+            let _guard = pick(&held).lock();
+            panic!("panicking while holding the lock, on purpose");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(pick(owner).is_poisoned());
     }
 
     #[test]
@@ -873,7 +1007,7 @@ mod tests {
         for class in dictionary.classes() {
             let report = DeviceReport {
                 device: "d".into(),
-                shard: ShardKey::new(dictionary.config(), SchemeId::TwmTa, &march_c_minus()),
+                shard: shard(),
                 trail: class.trail.clone(),
                 spares: 8,
             };
@@ -904,5 +1038,127 @@ mod tests {
             verify_plan(&runtime, &class, &plan),
             Err(FleetError::Repair(RepairError::InvalidDictionary(_)))
         ));
+    }
+
+    #[test]
+    fn memoised_verdicts_equal_fresh_sessions_on_miss_and_hit() {
+        let (dictionary, _, paged) = paged_runtime("memo");
+        let resident = runtime_of(DictionaryHandle::Resident(Arc::new(dictionary.clone())));
+        for runtime in [resident, paged] {
+            let mut verified = 0;
+            for class in dictionary.classes() {
+                let defects = TrailDiagnosis::from_class(class).defects;
+                let plan = RepairAllocator::default().allocate(&defects, 8);
+                assert!(plan.fully_repairs());
+                let fresh = verify_session(&runtime, class, &plan).unwrap();
+
+                assert_eq!(runtime.memoised_verdict(&class.trail, &plan), None);
+                assert_eq!(verify_plan(&runtime, class, &plan).unwrap(), fresh, "miss");
+                // From here on `verify_plan` answers from the memo.
+                assert_eq!(runtime.memoised_verdict(&class.trail, &plan), Some(fresh));
+                assert_eq!(verify_plan(&runtime, class, &plan).unwrap(), fresh, "hit");
+                verified += 1;
+                assert_eq!(lock(runtime.verdict_memo()).len(), verified);
+            }
+            assert!(verified > 0);
+
+            // A hit runs no session: a stored verdict, even a wrong one,
+            // is what comes back.
+            let class = &dictionary.classes()[0];
+            let plan =
+                RepairAllocator::default().allocate(&TrailDiagnosis::from_class(class).defects, 8);
+            let stored = {
+                let mut memo = lock(runtime.verdict_memo());
+                let entry = memo.get_mut(&class.trail).unwrap();
+                entry.1 = !entry.1;
+                entry.1
+            };
+            assert_eq!(verify_plan(&runtime, class, &plan).unwrap(), stored);
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_leave_the_service_answering_like_a_fresh_one() {
+        let fresh = warm_service();
+        let poisoned = warm_service();
+        let runtime = {
+            let store = lock(&poisoned.store);
+            let entry = store.get(shard()).unwrap();
+            lock(&poisoned.cache).runtime(shard(), entry).unwrap()
+        };
+        assert!(!lock(runtime.verdict_memo()).is_empty());
+        poison(&poisoned, |service| &service.store);
+        poison(&poisoned, |service| &service.cache);
+        poison(&poisoned, |service| &service.stats);
+        poison(&runtime, |runtime| runtime.verdict_memo());
+
+        let reports = reports(&dictionary());
+        for request in [
+            Request::ListShards,
+            Request::DiagnoseBatch { reports },
+            Request::Statistics,
+        ] {
+            let (mut got, mut want) = (poisoned.handle(request.clone()), fresh.handle(request));
+            // Cumulative latency is wall-clock, outside the determinism
+            // contract.
+            for response in [&mut got, &mut want] {
+                if let Response::Statistics(statistics) = response {
+                    statistics.latency.clear();
+                }
+            }
+            assert!(!matches!(got, Response::Error { .. }), "{got:?}");
+            assert_eq!(got, want);
+        }
+    }
+
+    /// An eviction must drop the shard's runtime before anyone can see
+    /// the store without the shard. With the cache held here, the
+    /// evicting thread parks at its invalidation: every time the store is
+    /// free it must still hold the shard. Only the evicting thread ever
+    /// holds the store, so once the store stays busy it holds the store
+    /// while parked, and the polling can stop.
+    #[test]
+    fn an_eviction_holds_the_store_until_the_runtime_is_dropped() {
+        use std::sync::TryLockError;
+        use std::time::Duration;
+
+        let service = warm_service();
+        let cache = lock(&service.cache);
+        let evicting = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.handle(Request::EvictDictionary { shard: shard() }))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut blocked_since = None;
+        loop {
+            match service.store.try_lock() {
+                Ok(store) => {
+                    assert!(
+                        store.get(shard()).is_some(),
+                        "the store dropped the shard while its runtime was still cached"
+                    );
+                    blocked_since = None;
+                }
+                Err(TryLockError::WouldBlock) => {
+                    let since = *blocked_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() > Duration::from_millis(100) {
+                        break;
+                    }
+                }
+                Err(TryLockError::Poisoned(_)) => unreachable!("nothing panics here"),
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the eviction never took the store"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(cache);
+        assert!(matches!(
+            evicting.join().unwrap(),
+            Response::Evicted { existed: true, .. }
+        ));
+        assert!(lock(&service.store).get(shard()).is_none());
+        assert!(lock(&service.cache).is_empty());
     }
 }

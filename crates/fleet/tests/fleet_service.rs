@@ -12,7 +12,8 @@ use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, UniverseBuilder};
 use twm_fleet::{
     wire, BatchReport, CacheMetrics, DeviceOutcome, DeviceReport, DeviceVerdict, Diagnosis,
     DictionaryStore, FleetConfig, FleetService, FleetStatistics, PersistedShard, Request, Response,
-    ShardInfo, ShardKey, SignatureDictionary, SignatureTrail, UniverseSpec,
+    ShardInfo, ShardKey, SignatureDictionary, SignatureTrail, SpillConfig, StoreOptions,
+    UniverseSpec,
 };
 use twm_march::algorithms::{march_c_minus, mats_plus};
 use twm_march::MarchTest;
@@ -30,10 +31,18 @@ fn content() -> ContentPolicy {
 }
 
 fn build_dictionary(scheme: SchemeId, source: &MarchTest) -> SignatureDictionary {
+    build_dictionary_over(content(), scheme, source)
+}
+
+fn build_dictionary_over(
+    content: ContentPolicy,
+    scheme: SchemeId,
+    source: &MarchTest,
+) -> SignatureDictionary {
     let registry = SchemeRegistry::all(config().width()).unwrap();
     let engine = CoverageEngine::for_scheme(registry.get(scheme).unwrap(), source, config())
         .unwrap()
-        .content(content())
+        .content(content)
         .strategy(Strategy::Serial)
         .build()
         .unwrap();
@@ -47,11 +56,21 @@ fn build_dictionary(scheme: SchemeId, source: &MarchTest) -> SignatureDictionary
 /// What a fielded device would report: the staged-session trail of its
 /// (possibly faulty) memory under the shard's scheme.
 fn device_trail(scheme: SchemeId, source: &MarchTest, faults: &[Fault]) -> SignatureTrail {
+    device_trail_over(SEED, scheme, source, faults)
+}
+
+/// A device trail over reference content seeded with `seed`.
+fn device_trail_over(
+    seed: u64,
+    scheme: SchemeId,
+    source: &MarchTest,
+    faults: &[Fault],
+) -> SignatureTrail {
     let registry = SchemeRegistry::all(config().width()).unwrap();
     let transform = registry.get(scheme).unwrap().transform(source).unwrap();
     let mut memory =
         FaultyMemory::with_faults(config(), FaultSet::from_faults(faults.iter().copied())).unwrap();
-    memory.fill_random(SEED);
+    memory.fill_random(seed);
     let misr = twm_bist::Misr::standard(config().width());
     let staged = run_scheme_session_staged(&transform, &mut memory, misr).unwrap();
     SignatureTrail::new(staged.signature_trail())
@@ -117,11 +136,14 @@ fn fleet_reports(devices: usize) -> Vec<DeviceReport> {
 }
 
 fn service(strategy: Strategy) -> FleetService {
-    let service = FleetService::new(FleetConfig {
+    service_with(FleetConfig {
         strategy,
         ..FleetConfig::default()
     })
-    .unwrap();
+}
+
+fn service_with(config: FleetConfig) -> FleetService {
+    let service = FleetService::new(config).unwrap();
     let registered = service.handle(Request::RegisterDictionary {
         source: march_c_minus(),
         dictionary: build_dictionary(SchemeId::TwmTa, &march_c_minus()),
@@ -449,6 +471,96 @@ fn a_huge_spare_budget_verifies_like_a_single_spare() {
     assert_eq!(huge.plan.spares_available, 1 << 40);
     huge.plan.spares_available = single.plan.spares_available;
     assert_eq!(huge, single);
+}
+
+/// Repair verdicts are memoised per shard runtime and ambiguity class,
+/// once the cache hands a runtime out again. A service that answers the
+/// same batch three times (the last time from its memo) matches a fresh
+/// service every time: with resident shards, and with a one-runtime
+/// cache that spills shards and rebuilds their runtimes from disk.
+#[test]
+fn a_repeated_batch_matches_a_fresh_service_with_and_without_spill() {
+    let request = Request::DiagnoseBatch {
+        reports: fleet_reports(80),
+    };
+    let reference = service(Strategy::Serial).handle(request.clone());
+    let dir = std::env::temp_dir().join(format!("twm-fleet-memo-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spilling = FleetConfig {
+        cache_capacity: 1,
+        spill: Some(SpillConfig {
+            dir: dir.clone(),
+            options: StoreOptions {
+                page_size: 256,
+                cache_budget: 2048,
+            },
+        }),
+        ..FleetConfig::default()
+    };
+    for config in [FleetConfig::default(), spilling] {
+        let served = service_with(config);
+        for round in 0..3 {
+            assert_eq!(served.handle(request.clone()), reference, "round {round}");
+        }
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().count() > 0,
+        "the one-runtime cache never spilled"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An evicted shard re-registered under the same key with different
+/// reference content diagnoses from the new dictionary only: neither the
+/// old runtime nor its memoised verdicts outlive the eviction.
+#[test]
+fn a_re_registered_shard_diagnoses_like_a_fresh_service() {
+    let source = march_c_minus();
+    let shard = ShardKey::new(config(), SchemeId::TwmTa, &source);
+    let other_seed = SEED + 1;
+    // Every stuck-at-1 device, under either content.
+    let reports: Vec<DeviceReport> = [SEED, other_seed]
+        .into_iter()
+        .flat_map(|seed| {
+            let source = source.clone();
+            let width = config().width();
+            (0..config().words() * width).map(move |cell| {
+                let cell = twm_mem::BitAddress::new(cell / width, cell % width);
+                let faults = [Fault::stuck_at(cell, true)];
+                DeviceReport {
+                    device: format!("{seed:x}-{}-{}", cell.word, cell.bit),
+                    shard,
+                    trail: device_trail_over(seed, SchemeId::TwmTa, &source, &faults),
+                    spares: 1,
+                }
+            })
+        })
+        .collect();
+    let request = Request::DiagnoseBatch { reports };
+    let register = |service: &FleetService, seed: u64| {
+        let dictionary =
+            build_dictionary_over(ContentPolicy::Random { seed }, SchemeId::TwmTa, &source);
+        let response = service.handle(Request::RegisterDictionary {
+            source: source.clone(),
+            dictionary,
+        });
+        assert!(matches!(response, Response::Registered { shard: got, .. } if got == shard));
+    };
+
+    let served = FleetService::new(FleetConfig::default()).unwrap();
+    register(&served, SEED);
+    let before = served.handle(request.clone());
+    assert!(matches!(
+        served.handle(Request::EvictDictionary { shard }),
+        Response::Evicted { existed: true, .. }
+    ));
+    register(&served, other_seed);
+    let after = served.handle(request.clone());
+
+    let fresh = FleetService::new(FleetConfig::default()).unwrap();
+    register(&fresh, other_seed);
+    assert_eq!(after, fresh.handle(request));
+    assert_ne!(after, before, "the two contents must diagnose differently");
 }
 
 proptest! {

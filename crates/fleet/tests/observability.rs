@@ -96,17 +96,20 @@ fn metrics_scrape_over_tcp_matches_in_process_exposition() {
         .unwrap();
     assert!(matches!(registered, Response::Registered { .. }));
     let faulty = Fault::stuck_at(twm_mem::BitAddress::new(2, 1), true);
-    let batch = client
-        .request(&Request::DiagnoseBatch {
-            reports: vec![DeviceReport {
-                device: "stuck".into(),
-                shard,
-                trail: device_trail(SchemeId::TwmTa, &march_c_minus(), &[faulty]),
-                spares: 1,
-            }],
-        })
-        .unwrap();
-    assert!(matches!(batch, Response::Batch(_)));
+    let stuck = Request::DiagnoseBatch {
+        reports: vec![DeviceReport {
+            device: "stuck".into(),
+            shard,
+            trail: device_trail(SchemeId::TwmTa, &march_c_minus(), &[faulty]),
+            spares: 1,
+        }],
+    };
+    // The first batch builds the shard's runtime; the second, on the
+    // reused runtime, stores the verdict the third answers from.
+    for _ in 0..3 {
+        let batch = client.request(&stuck).unwrap();
+        assert!(matches!(batch, Response::Batch(_)));
+    }
 
     let Response::Metrics { text, report } = client.request(&Request::Metrics).unwrap() else {
         panic!("expected a metrics response");
@@ -132,7 +135,9 @@ fn metrics_scrape_over_tcp_matches_in_process_exposition() {
     );
     assert!(counter_value(&report, "twm_fleet_frames_total", None) >= 2);
     assert!(counter_value(&report, "twm_fleet_connections_total", None) >= 1);
-    assert!(counter_value(&report, "twm_fleet_batch_devices_total", None) >= 1);
+    assert!(counter_value(&report, "twm_fleet_batch_devices_total", None) >= 3);
+    assert!(counter_value(&report, "twm_fleet_verify_sessions_total", None) >= 1);
+    assert!(counter_value(&report, "twm_fleet_verify_memo_hits_total", None) >= 1);
     assert!(text.contains("# TYPE twm_fleet_request_latency_ns histogram"));
     assert!(text.contains("twm_fleet_requests_total{request=\"DiagnoseBatch\"}"));
 
