@@ -258,14 +258,18 @@ impl TcpFront {
                 };
                 let encoded = wire::to_bytes(&response);
                 obs.bytes_out.add(encoded.len() as u64);
-                twm_obs::event(
-                    "fleet.frame",
-                    &[
-                        ("bytes_in", &payload.len().to_string()),
-                        ("bytes_out", &encoded.len().to_string()),
-                        ("outcome", outcome),
-                    ],
-                );
+                // Tracing off costs one load: the field strings are built
+                // only for a live trace.
+                if twm_obs::trace::enabled() {
+                    twm_obs::event(
+                        "fleet.frame",
+                        &[
+                            ("bytes_in", &payload.len().to_string()),
+                            ("bytes_out", &encoded.len().to_string()),
+                            ("outcome", outcome),
+                        ],
+                    );
+                }
                 frames += 1;
                 write_frame(&mut stream, &encoded)?;
             }
@@ -504,10 +508,49 @@ mod tests {
         }
     }
 
+    /// A two-device batch, the request the serve path decodes most.
+    fn diagnose_request() -> Request {
+        let shard = crate::ShardKey::new(
+            twm_mem::MemoryConfig::new(16, 8).unwrap(),
+            twm_core::scheme::SchemeId::TwmTa,
+            &twm_march::algorithms::march_c_minus(),
+        );
+        let word = |bits| twm_mem::Word::from_bits(bits, 8).unwrap();
+        let report = |device: &str, trail: Vec<twm_mem::Word>| crate::DeviceReport {
+            device: device.to_string(),
+            shard,
+            trail: crate::SignatureTrail::new(trail),
+            spares: 2,
+        };
+        Request::DiagnoseBatch {
+            reports: vec![
+                report("dev-0", vec![word(0x5A), word(0xC3)]),
+                report("dev-1", vec![word(0xFF), word(0x00), word(0x81)]),
+            ],
+        }
+    }
+
+    /// A valid frame of `request` that may carry a flipped byte and be
+    /// truncated.
+    fn mutated_frame(request: fn() -> Request) -> impl Strategy<Value = Vec<u8>> {
+        (any::<usize>(), any::<u8>(), any::<bool>(), any::<usize>()).prop_map(
+            move |(at, flip, truncate, cut)| {
+                let mut bytes = Vec::new();
+                write_frame(&mut bytes, &wire::to_bytes(&request())).unwrap();
+                let at = at % bytes.len();
+                bytes[at] ^= flip;
+                if truncate {
+                    bytes.truncate(cut % bytes.len());
+                }
+                bytes
+            },
+        )
+    }
+
     /// Hostile frame streams: arbitrary bytes (random, usually huge,
     /// length prefixes), an honest prefix over a payload that may be
-    /// cut short or run on, and a valid request frame that may be
-    /// truncated or carry a flipped byte.
+    /// cut short or run on, and valid request frames (a nested build
+    /// and a device batch) that may be truncated or carry a flipped byte.
     fn frame_bytes() -> impl Strategy<Value = Vec<u8>> {
         prop_oneof![
             collection::vec(any::<u8>(), 0..64),
@@ -516,18 +559,8 @@ mod tests {
                 bytes.extend(payload);
                 bytes
             }),
-            (any::<usize>(), any::<u8>(), any::<bool>(), any::<usize>()).prop_map(
-                |(at, flip, truncate, cut)| {
-                    let mut bytes = Vec::new();
-                    write_frame(&mut bytes, &wire::to_bytes(&nested_request())).unwrap();
-                    let at = at % bytes.len();
-                    bytes[at] ^= flip;
-                    if truncate {
-                        bytes.truncate(cut % bytes.len());
-                    }
-                    bytes
-                }
-            ),
+            mutated_frame(nested_request),
+            mutated_frame(diagnose_request),
         ]
     }
 
@@ -537,7 +570,9 @@ mod tests {
         /// Frame reading and request decoding never panic, end in a
         /// typed outcome, and never buffer more than one chunk past the
         /// bytes actually received (the reader asserts every offered
-        /// buffer is at most one chunk).
+        /// buffer is at most one chunk). A bad frame's error message, the
+        /// one `Response::Error` carries back, stays short: it never
+        /// echoes a string from the wire.
         #[test]
         fn hostile_frame_streams_get_typed_outcomes(
             bytes in frame_bytes(),
@@ -551,7 +586,10 @@ mod tests {
                     prop_assert!(payload.capacity() <= received + READ_CHUNK);
                     prop_assert_eq!(&payload[..], &bytes[4..received]);
                     match wire::from_bytes::<Request>(&payload) {
-                        Ok(_) | Err(FleetError::Wire(_)) => {}
+                        Ok(_) => {}
+                        Err(error @ FleetError::Wire(_)) => {
+                            prop_assert!(error.to_string().len() <= 256, "{error}");
+                        }
                         Err(other) => panic!("untyped decode failure: {other}"),
                     }
                 }

@@ -2,16 +2,16 @@
 //! the serde data model.
 //!
 //! Requests, responses and persisted dictionaries all travel as
-//! length-prefixed [`serde::Value`] trees. The byte layout, tag table
+//! length-prefixed values of that model. The byte layout, tag table
 //! included, is owned and documented by [`twm_store::wire`] — the
 //! dictionary store persists the same values — and this module wraps it
-//! with the fleet's error type. Since the store grew **streaming** entry
-//! points, the fleet codec streams too: [`write_to`] / [`read_from`]
-//! encode and decode over any [`std::io::Write`] / [`std::io::Read`]
-//! without buffering the whole payload, and the original [`to_bytes`] /
-//! [`from_bytes`] helpers remain as the `Vec<u8>` convenience layer.
-//! Decoding is strict: every length is bounds-checked, strings must be
-//! valid UTF-8 and [`from_bytes`] rejects trailing bytes.
+//! with the fleet's error type. The codec streams in both directions:
+//! values encode straight to bytes and decode straight from them, with no
+//! intermediate value tree, and [`write_to`] / [`read_from`] do so over
+//! any [`std::io::Write`] / [`std::io::Read`] without buffering the whole
+//! payload; [`to_bytes`] / [`from_bytes`] are the in-RAM forms. Decoding
+//! is strict: every length is bounds-checked, strings must be valid
+//! UTF-8 and [`from_bytes`] rejects trailing bytes.
 
 use std::io::{Read, Write};
 
@@ -40,7 +40,7 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// # Errors
 ///
 /// [`FleetError::Wire`] on a truncated or malformed payload, trailing
-/// bytes, or a decoded tree that does not match `T`'s shape.
+/// bytes, or a decoded value that does not match `T`'s shape.
 pub fn from_bytes<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, FleetError> {
     codec::from_bytes(bytes).map_err(lift)
 }

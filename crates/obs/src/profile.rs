@@ -324,14 +324,14 @@ mod tests {
         assert_eq!(profile(&report, "parent").total_ns, 100);
     }
 
-    /// The report serialises and round-trips through serde.
+    /// The report serialises and round-trips through the wire codec.
     #[test]
-    fn report_round_trips_through_serde() {
+    fn report_round_trips_through_the_wire_codec() {
         let profiler = ProfilerSink::new();
         profiler.record(span(1, 0, "only", 42));
         let report = profiler.snapshot();
-        let tree = serde::to_value(&report);
-        let back: ProfileReport = serde::from_value(&tree).unwrap();
+        let bytes = twm_store::wire::to_bytes(&report);
+        let back: ProfileReport = twm_store::wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, report);
     }
 }

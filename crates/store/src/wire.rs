@@ -2,7 +2,10 @@
 //! serde data model, streamed over [`io::Read`] / [`io::Write`].
 //!
 //! Fleet requests, persisted dictionary shards and the paged store's
-//! metadata all travel as [`serde::Value`] trees:
+//! metadata all travel in it. Values stream straight between their types
+//! and bytes: encoding implements [`serde::Encoder`] over any writer and
+//! decoding implements [`serde::Decoder`] over any reader (an in-RAM
+//! `&[u8]` is a reader too), with no intermediate value tree.
 //!
 //! | tag | payload |
 //! |----:|---------|
@@ -18,23 +21,29 @@
 //! | `9` | variant — name string + payload value |
 //!
 //! Decoding is strict: strings must be valid UTF-8, unknown tags are
-//! rejected, nesting depth is capped, and [`from_bytes`] rejects trailing
-//! bytes. Length prefixes cannot drive runaway allocations: collections
-//! grow incrementally as their elements actually decode, and string/byte
-//! reads go through [`io::Read::take`], so a corrupt length fails on EOF
-//! after reading at most the real input. The module is deliberately the
-//! only place that knows the byte layout — when the build moves to
-//! crates.io this is the seam to swap for `bincode`/`postcard` over real
-//! serde.
+//! rejected, nesting depth is capped (also inside skipped values, which
+//! are walked without recursion), and [`from_bytes`] rejects trailing
+//! bytes. A record's fields may come in any order; unknown fields and
+//! repeated names are skipped but still validated, and the first of
+//! repeated names wins. A value that is malformed anywhere is
+//! [`WireError::Malformed`], even when a shape mismatch
+//! ([`WireError::Model`]) came first: after a shape error the decoder
+//! still reads, and so validates, the rest of the value. Length prefixes
+//! cannot drive runaway allocations: collections pre-reserve at most
+//! [`serde::MAX_PREALLOC`] items and grow as their elements actually
+//! decode, and long strings are read through [`io::Read::take`], so a
+//! corrupt length fails on EOF after reading at most the real input.
 //!
-//! The streaming entry points are [`write_to`] / [`read_from`];
-//! [`to_bytes`] / [`from_bytes`] are thin in-RAM wrappers over them
-//! (`twm-fleet` re-exports those wrappers for its message framing).
+//! The module is deliberately the only place that knows the byte layout —
+//! when the build moves to crates.io this is the seam to swap for
+//! `bincode`/`postcard` over real serde. The streaming entry points are
+//! [`write_to`] / [`read_from`]; [`to_bytes`] / [`from_bytes`] are the
+//! in-RAM forms (`twm-fleet` re-exports them for its message framing).
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Decoder, Deserialize, Encoder, Serialize, Token, MAX_PREALLOC};
 
 const TAG_UNIT: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -47,14 +56,10 @@ const TAG_MAP: u8 = 7;
 const TAG_RECORD: u8 = 8;
 const TAG_VARIANT: u8 = 9;
 
-/// Value trees deeper than this are rejected — far above anything the
+/// Values nested deeper than this are rejected — far above anything the
 /// stack's data model produces, low enough that a crafted input cannot
-/// overflow the decoder's stack.
+/// overflow a decoding type's stack.
 const MAX_DEPTH: usize = 256;
-
-/// Collection allocations are pre-reserved at most this many elements;
-/// beyond it they grow as elements actually decode.
-const MAX_PREALLOC: usize = 4096;
 
 /// Errors of the wire codec.
 #[derive(Debug)]
@@ -65,7 +70,7 @@ pub enum WireError {
     /// The byte stream is not a well-formed wire value (truncation,
     /// unknown tag, invalid UTF-8, trailing bytes, excessive nesting).
     Malformed(String),
-    /// The decoded value tree does not match the target type's shape.
+    /// The decoded value does not match the target type's shape.
     Model(String),
 }
 
@@ -101,6 +106,12 @@ impl From<io::Error> for WireError {
     }
 }
 
+impl From<serde::Error> for WireError {
+    fn from(e: serde::Error) -> Self {
+        WireError::Model(e.to_string())
+    }
+}
+
 /// Encodes a value into the wire format, streaming it to `writer`.
 ///
 /// # Errors
@@ -110,7 +121,15 @@ pub fn write_to<W: Write + ?Sized, T: Serialize + ?Sized>(
     writer: &mut W,
     value: &T,
 ) -> Result<(), WireError> {
-    encode(&serde::to_value(value), writer).map_err(WireError::from)
+    let mut encoder = WireEncoder {
+        out: writer,
+        error: None,
+    };
+    value.encode(&mut encoder);
+    match encoder.error {
+        None => Ok(()),
+        Some(error) => Err(error.into()),
+    }
 }
 
 /// Decodes a value from the wire format, streaming it from `reader`.
@@ -123,20 +142,31 @@ pub fn write_to<W: Write + ?Sized, T: Serialize + ?Sized>(
 /// # Errors
 ///
 /// [`WireError::Malformed`] on a truncated or malformed payload,
-/// [`WireError::Model`] if the decoded tree does not match `T`'s shape,
-/// [`WireError::Io`] when the reader itself fails.
+/// [`WireError::Model`] if a well-formed value does not match `T`'s
+/// shape, [`WireError::Io`] when the reader itself fails.
 pub fn read_from<R: Read + ?Sized, T: for<'de> Deserialize<'de>>(
     reader: &mut R,
 ) -> Result<T, WireError> {
-    let value = decode(reader, 0)?;
-    serde::from_value(&value).map_err(|e| WireError::Model(e.to_string()))
+    let mut decoder = WireDecoder {
+        reader,
+        scratch: Vec::new(),
+        open: Vec::new(),
+    };
+    match T::decode(&mut decoder) {
+        Err(WireError::Model(message)) => {
+            // Malformed beats Model: validate what is left of the value.
+            decoder.finish()?;
+            Err(WireError::Model(message))
+        }
+        result => result,
+    }
 }
 
 /// Encodes a value into an in-RAM wire buffer.
 #[must_use]
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut bytes = Vec::new();
-    encode(&serde::to_value(value), &mut bytes).expect("writing to a Vec cannot fail");
+    write_to(&mut bytes, value).expect("writing to a Vec cannot fail");
     bytes
 }
 
@@ -147,198 +177,406 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// As [`read_from`], plus [`WireError::Malformed`] for trailing bytes.
 pub fn from_bytes<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, WireError> {
     let mut reader = bytes;
-    let value = decode(&mut reader, 0)?;
-    if !reader.is_empty() {
+    let result = read_from(&mut reader);
+    if matches!(result, Ok(_) | Err(WireError::Model(_))) && !reader.is_empty() {
         return Err(WireError::Malformed(format!(
             "{} trailing bytes after value",
             reader.len()
         )));
     }
-    serde::from_value(&value).map_err(|e| WireError::Model(e.to_string()))
+    result
 }
 
-fn encode<W: Write + ?Sized>(value: &Value, out: &mut W) -> io::Result<()> {
-    match value {
-        Value::Unit => out.write_all(&[TAG_UNIT]),
-        Value::Bool(flag) => out.write_all(&[TAG_BOOL, u8::from(*flag)]),
-        Value::UInt(number) => {
-            out.write_all(&[TAG_UINT])?;
-            out.write_all(&number.to_le_bytes())
-        }
-        Value::Int(number) => {
-            out.write_all(&[TAG_INT])?;
-            out.write_all(&number.to_le_bytes())
-        }
-        Value::Float(number) => {
-            out.write_all(&[TAG_FLOAT])?;
-            out.write_all(&number.to_bits().to_le_bytes())
-        }
-        Value::Str(text) => {
-            out.write_all(&[TAG_STR])?;
-            encode_str(text, out)
-        }
-        Value::Seq(items) => {
-            out.write_all(&[TAG_SEQ])?;
-            encode_len(items.len(), out)?;
-            for item in items {
-                encode(item, out)?;
+/// The [`Encoder`] over a writer. The first write error sticks: later
+/// writes are dropped and [`write_to`] reports it.
+struct WireEncoder<'w, W: ?Sized> {
+    out: &'w mut W,
+    error: Option<io::Error>,
+}
+
+impl<W: Write + ?Sized> WireEncoder<'_, W> {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            if let Err(error) = self.out.write_all(bytes) {
+                self.error = Some(error);
             }
-            Ok(())
         }
-        Value::Map(entries) => {
-            out.write_all(&[TAG_MAP])?;
-            encode_len(entries.len(), out)?;
-            for (key, entry) in entries {
-                encode(key, out)?;
-                encode(entry, out)?;
-            }
-            Ok(())
-        }
-        Value::Record(fields) => {
-            out.write_all(&[TAG_RECORD])?;
-            encode_len(fields.len(), out)?;
-            for (name, field) in fields {
-                encode_str(name, out)?;
-                encode(field, out)?;
-            }
-            Ok(())
-        }
-        Value::Variant(name, payload) => {
-            out.write_all(&[TAG_VARIANT])?;
-            encode_str(name, out)?;
-            encode(payload, out)
-        }
+    }
+
+    /// A tag followed by a fixed-size little-endian payload, in one write.
+    fn tagged<const N: usize>(&mut self, tag: u8, payload: [u8; N]) {
+        let mut bytes = [0u8; 17];
+        bytes[0] = tag;
+        bytes[1..=N].copy_from_slice(&payload);
+        self.put(&bytes[..=N]);
+    }
+
+    /// A length-prefixed name, untagged.
+    fn text(&mut self, text: &str) {
+        self.put(&(text.len() as u64).to_le_bytes());
+        self.put(text.as_bytes());
     }
 }
 
-fn encode_len<W: Write + ?Sized>(len: usize, out: &mut W) -> io::Result<()> {
-    out.write_all(&(len as u64).to_le_bytes())
-}
-
-fn encode_str<W: Write + ?Sized>(text: &str, out: &mut W) -> io::Result<()> {
-    encode_len(text.len(), out)?;
-    out.write_all(text.as_bytes())
-}
-
-fn read_array<R: Read + ?Sized, const N: usize>(reader: &mut R) -> Result<[u8; N], WireError> {
-    let mut bytes = [0u8; N];
-    reader.read_exact(&mut bytes)?;
-    Ok(bytes)
-}
-
-fn read_len<R: Read + ?Sized>(reader: &mut R) -> Result<usize, WireError> {
-    let raw = u64::from_le_bytes(read_array::<R, 8>(reader)?);
-    usize::try_from(raw)
-        .map_err(|_| WireError::Malformed(format!("length {raw} exceeds the address space")))
-}
-
-fn read_str<R: Read + ?Sized>(reader: &mut R) -> Result<String, WireError> {
-    let len = read_len(reader)?;
-    // Grow incrementally through a bounded reader: a corrupt length fails
-    // on EOF after at most the real input, instead of pre-allocating `len`.
-    let mut bytes = Vec::with_capacity(len.min(MAX_PREALLOC));
-    let consumed = reader.take(len as u64).read_to_end(&mut bytes)?;
-    if consumed < len {
-        return Err(WireError::Malformed(format!(
-            "string of {len} bytes truncated after {consumed}"
-        )));
+impl<W: Write + ?Sized> Encoder for WireEncoder<'_, W> {
+    fn unit(&mut self) {
+        self.put(&[TAG_UNIT]);
     }
-    String::from_utf8(bytes).map_err(|_| WireError::Malformed("string is not valid UTF-8".into()))
+
+    fn bool(&mut self, value: bool) {
+        self.put(&[TAG_BOOL, u8::from(value)]);
+    }
+
+    fn uint(&mut self, value: u128) {
+        self.tagged(TAG_UINT, value.to_le_bytes());
+    }
+
+    fn int(&mut self, value: i128) {
+        self.tagged(TAG_INT, value.to_le_bytes());
+    }
+
+    fn float(&mut self, value: f64) {
+        self.tagged(TAG_FLOAT, value.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, value: &str) {
+        self.tagged(TAG_STR, (value.len() as u64).to_le_bytes());
+        self.put(value.as_bytes());
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.tagged(TAG_SEQ, (len as u64).to_le_bytes());
+    }
+
+    fn map(&mut self, len: usize) {
+        self.tagged(TAG_MAP, (len as u64).to_le_bytes());
+    }
+
+    fn record(&mut self, len: usize) {
+        self.tagged(TAG_RECORD, (len as u64).to_le_bytes());
+    }
+
+    fn field(&mut self, name: &str) {
+        self.text(name);
+    }
+
+    fn variant(&mut self, name: &str) {
+        self.put(&[TAG_VARIANT]);
+        self.text(name);
+    }
 }
 
-fn decode<R: Read + ?Sized>(reader: &mut R, depth: usize) -> Result<Value, WireError> {
-    if depth > MAX_DEPTH {
-        return Err(WireError::Malformed(format!(
-            "value nesting exceeds {MAX_DEPTH} levels"
-        )));
+/// One open container of the value being decoded.
+struct Open {
+    /// Child values still to come (a map entry counts two).
+    remaining: usize,
+    /// Whether each child is a record field, preceded by its name.
+    record: bool,
+    /// Whether the current child's field name has been read.
+    named: bool,
+}
+
+/// The [`Decoder`] over a reader. It keeps the stack of open containers
+/// itself, which caps nesting, lets [`Decoder::skip`] walk any value
+/// without recursion and lets [`WireDecoder::finish`] validate the rest of
+/// a value after a shape error.
+struct WireDecoder<'r, R: ?Sized> {
+    reader: &'r mut R,
+    /// Holds the last string or name read; tokens borrow it.
+    scratch: Vec<u8>,
+    open: Vec<Open>,
+}
+
+impl<R: Read + ?Sized> WireDecoder<'_, R> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut bytes = [0u8; N];
+        self.reader.read_exact(&mut bytes)?;
+        Ok(bytes)
     }
-    let tag = read_array::<R, 1>(reader)?[0];
-    match tag {
-        TAG_UNIT => Ok(Value::Unit),
-        TAG_BOOL => match read_array::<R, 1>(reader)?[0] {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            other => Err(WireError::Malformed(format!(
-                "invalid bool byte {other:#04x}"
-            ))),
-        },
-        TAG_UINT => Ok(Value::UInt(u128::from_le_bytes(read_array::<R, 16>(
-            reader,
-        )?))),
-        TAG_INT => Ok(Value::Int(i128::from_le_bytes(read_array::<R, 16>(
-            reader,
-        )?))),
-        TAG_FLOAT => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
-            read_array::<R, 8>(reader)?,
-        )))),
-        TAG_STR => Ok(Value::Str(read_str(reader)?)),
-        TAG_SEQ => {
-            let len = read_len(reader)?;
-            let mut items = Vec::with_capacity(len.min(MAX_PREALLOC));
-            for _ in 0..len {
-                items.push(decode(reader, depth + 1)?);
+
+    fn len(&mut self) -> Result<usize, WireError> {
+        let raw = u64::from_le_bytes(self.array()?);
+        usize::try_from(raw)
+            .map_err(|_| WireError::Malformed(format!("length {raw} exceeds the address space")))
+    }
+
+    /// Reads a length-prefixed UTF-8 string into `scratch`.
+    fn text(&mut self) -> Result<&str, WireError> {
+        let len = self.len()?;
+        self.scratch.clear();
+        if len <= MAX_PREALLOC {
+            self.scratch.resize(len, 0);
+            self.reader.read_exact(&mut self.scratch)?;
+        } else {
+            // Grow through a bounded reader: a corrupt length fails on EOF
+            // after at most the real input, instead of pre-allocating it.
+            self.scratch.reserve(MAX_PREALLOC);
+            let consumed = (&mut *self.reader)
+                .take(len as u64)
+                .read_to_end(&mut self.scratch)?;
+            if consumed < len {
+                return Err(WireError::Malformed(format!(
+                    "string of {len} bytes truncated after {consumed}"
+                )));
             }
-            Ok(Value::Seq(items))
         }
-        TAG_MAP => {
-            let len = read_len(reader)?;
-            let mut entries = Vec::with_capacity(len.min(MAX_PREALLOC));
-            for _ in 0..len {
-                let key = decode(reader, depth + 1)?;
-                let entry = decode(reader, depth + 1)?;
-                entries.push((key, entry));
+        std::str::from_utf8(&self.scratch)
+            .map_err(|_| WireError::Malformed("string is not valid UTF-8".into()))
+    }
+
+    /// One child value of the innermost open container is complete;
+    /// closes every container that this completes.
+    fn complete(&mut self) {
+        while let Some(top) = self.open.last_mut() {
+            top.remaining -= 1;
+            top.named = false;
+            if top.remaining > 0 {
+                return;
             }
-            Ok(Value::Map(entries))
+            self.open.pop();
         }
-        TAG_RECORD => {
-            let len = read_len(reader)?;
-            let mut fields = Vec::with_capacity(len.min(MAX_PREALLOC));
-            for _ in 0..len {
-                let name = read_str(reader)?;
-                let field = decode(reader, depth + 1)?;
-                fields.push((name, field));
+    }
+
+    /// A container header with `children` values was read.
+    fn enter(&mut self, children: usize, record: bool) {
+        if children == 0 {
+            self.complete();
+        } else {
+            self.open.push(Open {
+                remaining: children,
+                record,
+                named: false,
+            });
+        }
+    }
+
+    /// Whether the next item of the innermost container is a field name.
+    fn expects_name(&self) -> bool {
+        self.open.last().is_some_and(|top| top.record && !top.named)
+    }
+
+    /// Reads, and so validates, the rest of every open container.
+    fn finish(&mut self) -> Result<(), WireError> {
+        while !self.open.is_empty() {
+            if self.expects_name() {
+                self.field()?;
             }
-            Ok(Value::Record(fields))
+            self.skip()?;
         }
-        TAG_VARIANT => {
-            let name = read_str(reader)?;
-            let payload = decode(reader, depth + 1)?;
-            Ok(Value::Variant(name, Box::new(payload)))
+        Ok(())
+    }
+}
+
+impl<R: Read + ?Sized> Decoder for WireDecoder<'_, R> {
+    type Error = WireError;
+
+    fn next(&mut self) -> Result<Token<'_>, WireError> {
+        if self.open.len() > MAX_DEPTH {
+            return Err(WireError::Malformed(format!(
+                "value nesting exceeds {MAX_DEPTH} levels"
+            )));
         }
-        other => Err(WireError::Malformed(format!(
-            "unknown value tag {other:#04x}"
-        ))),
+        let [tag] = self.array()?;
+        let token = match tag {
+            TAG_UNIT => Token::Unit,
+            TAG_BOOL => match self.array()? {
+                [0] => Token::Bool(false),
+                [1] => Token::Bool(true),
+                [other] => {
+                    return Err(WireError::Malformed(format!(
+                        "invalid bool byte {other:#04x}"
+                    )))
+                }
+            },
+            TAG_UINT => Token::UInt(u128::from_le_bytes(self.array()?)),
+            TAG_INT => Token::Int(i128::from_le_bytes(self.array()?)),
+            TAG_FLOAT => Token::Float(f64::from_bits(u64::from_le_bytes(self.array()?))),
+            TAG_STR => {
+                self.complete();
+                return self.text().map(Token::Str);
+            }
+            TAG_SEQ => {
+                let len = self.len()?;
+                self.enter(len, false);
+                return Ok(Token::Seq(len));
+            }
+            TAG_MAP => {
+                let len = self.len()?;
+                self.enter(len.saturating_mul(2), false);
+                return Ok(Token::Map(len));
+            }
+            TAG_RECORD => {
+                let len = self.len()?;
+                self.enter(len, true);
+                return Ok(Token::Record(len));
+            }
+            TAG_VARIANT => {
+                self.enter(1, false);
+                return self.text().map(Token::Variant);
+            }
+            other => {
+                return Err(WireError::Malformed(format!(
+                    "unknown value tag {other:#04x}"
+                )))
+            }
+        };
+        self.complete();
+        Ok(token)
+    }
+
+    fn field(&mut self) -> Result<&str, WireError> {
+        if !self.expects_name() {
+            return Err(serde::Error::message("a field name read outside a record").into());
+        }
+        self.open.last_mut().expect("inside a record").named = true;
+        self.text()
+    }
+
+    fn skip(&mut self) -> Result<(), WireError> {
+        let depth = self.open.len();
+        loop {
+            if self.open.len() > depth && self.expects_name() {
+                self.field()?;
+            }
+            self.next()?;
+            if self.open.len() <= depth {
+                return Ok(());
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use serde::{Deserialize, Serialize};
+
     use super::*;
 
-    fn round_trip(value: &Value) {
-        let mut bytes = Vec::new();
-        encode(value, &mut bytes).unwrap();
-        let mut reader = bytes.as_slice();
-        let back = decode(&mut reader, 0).unwrap();
-        assert!(reader.is_empty());
-        assert_eq!(&back, value);
+    fn hex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Encodes to exactly `golden` (hex) and decodes back to `value`.
+    fn assert_golden<T>(value: &T, golden: &str)
+    where
+        T: Serialize + for<'de> Deserialize<'de> + PartialEq + fmt::Debug,
+    {
+        let bytes = to_bytes(value);
+        assert_eq!(bytes, hex(golden), "layout drifted for {value:?}");
+        assert_eq!(&from_bytes::<T>(&bytes).unwrap(), value);
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Shape {
+        Empty,
+        Pair(u8, i8),
+        Nested { inner: Option<Vec<bool>> },
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Golden {
+        unit: (),
+        flag: bool,
+        count: u32,
+        delta: i64,
+        ratio: f64,
+        name: String,
+        table: BTreeMap<String, Option<u16>>,
+        shapes: Vec<Shape>,
+    }
+
+    /// Reference bytes of the layout that existing stores and exports
+    /// hold; a codec change that drifts from them breaks those files.
+    #[test]
+    fn every_tag_keeps_its_golden_bytes() {
+        assert_golden(&(), "00");
+        assert_golden(&true, "0101");
+        assert_golden(&7u32, "0207000000000000000000000000000000");
+        assert_golden(&-2i64, "03feffffffffffffffffffffffffffffff");
+        assert_golden(&1.5f64, "04000000000000f83f");
+        assert_golden(&"hi".to_string(), "0502000000000000006869");
+        assert_golden(
+            &vec![1u8, 2],
+            "06020000000000000002010000000000000000000000000000000202000000000000000000000000000000",
+        );
+        let map: BTreeMap<u8, bool> = [(1, true)].into_iter().collect();
+        assert_golden(
+            &map,
+            "07010000000000000002010000000000000000000000000000000101",
+        );
+        assert_golden(
+            &Some(3u8),
+            "090400000000000000536f6d650203000000000000000000000000000000",
+        );
     }
 
     #[test]
-    fn every_value_shape_round_trips() {
-        round_trip(&Value::Unit);
-        round_trip(&Value::Bool(true));
-        round_trip(&Value::UInt(u128::MAX));
-        round_trip(&Value::Int(i128::MIN));
-        round_trip(&Value::Float(-0.5));
-        round_trip(&Value::Str("märz".to_string()));
-        round_trip(&Value::Seq(vec![Value::UInt(1), Value::Bool(false)]));
-        round_trip(&Value::Map(vec![(Value::Str("k".into()), Value::UInt(7))]));
-        round_trip(&Value::Record(vec![("field".to_string(), Value::Unit)]));
-        round_trip(&Value::Variant(
-            "Some".to_string(),
-            Box::new(Value::UInt(3)),
-        ));
+    fn nested_records_variants_and_maps_keep_their_golden_bytes() {
+        let golden = Golden {
+            unit: (),
+            flag: false,
+            count: 42,
+            delta: -7,
+            ratio: 0.25,
+            name: "märz".to_string(),
+            table: [("a".to_string(), Some(5u16)), ("b".to_string(), None)]
+                .into_iter()
+                .collect(),
+            shapes: vec![
+                Shape::Empty,
+                Shape::Pair(9, -1),
+                Shape::Nested {
+                    inner: Some(vec![true, false]),
+                },
+            ],
+        };
+        assert_golden(
+            &golden,
+            concat!(
+                "0808000000000000000400000000000000756e6974000400000000000000666c6167",
+                "01000500000000000000636f756e74022a0000000000000000000000000000000500",
+                "00000000000064656c746103f9ffffffffffffffffffffffffffffff050000000000",
+                "0000726174696f04000000000000d03f04000000000000006e616d65050500000000",
+                "0000006dc3a4727a05000000000000007461626c6507020000000000000005010000",
+                "000000000061090400000000000000536f6d65020500000000000000000000000000",
+                "0000050100000000000000620904000000000000004e6f6e65000600000000000000",
+                "736861706573060300000000000000090500000000000000456d7074790009040000",
+                "00000000005061697206020000000000000002090000000000000000000000000000",
+                "0003ffffffffffffffffffffffffffffffff0906000000000000004e657374656408",
+                "01000000000000000500000000000000696e6e6572090400000000000000536f6d65",
+                "06020000000000000001010100",
+            ),
+        );
+    }
+
+    #[test]
+    fn primitives_and_containers_round_trip() {
+        fn round_trip<T>(value: T)
+        where
+            T: Serialize + for<'de> Deserialize<'de> + PartialEq + fmt::Debug,
+        {
+            assert_eq!(from_bytes::<T>(&to_bytes(&value)).unwrap(), value);
+        }
+        round_trip(17u64);
+        round_trip(-4i32);
+        round_trip(9usize);
+        round_trip(-9isize);
+        round_trip(1.5f32);
+        round_trip(Some(5u8));
+        round_trip(None::<u8>);
+        round_trip(Box::new(3u16));
+        let map: BTreeMap<String, u64> = [("a".to_string(), 1u64)].into_iter().collect();
+        round_trip(map);
+        let set: std::collections::BTreeSet<(bool, bool)> = [(true, false)].into_iter().collect();
+        round_trip(set);
+        // Unsigned and signed integers decode across tags when in range.
+        assert_eq!(from_bytes::<i8>(&to_bytes(&5u64)).unwrap(), 5);
+        assert_eq!(from_bytes::<u8>(&to_bytes(&5i64)).unwrap(), 5);
     }
 
     #[test]
@@ -348,6 +586,11 @@ mod tests {
         let bytes = to_bytes(&value);
         let back: Vec<(String, Option<u32>)> = from_bytes(&bytes).unwrap();
         assert_eq!(back, value);
+        let extremes = (u128::MAX, i128::MIN, -0.5f64, 'ß');
+        assert_eq!(
+            from_bytes::<(u128, i128, f64, char)>(&to_bytes(&extremes)).unwrap(),
+            extremes
+        );
     }
 
     #[test]
@@ -373,6 +616,27 @@ mod tests {
         }
         let back: Vec<(String, Vec<u64>)> = read_from(&mut TrickleReader(&buffer)).unwrap();
         assert_eq!(back, value);
+        // A string longer than the pre-reserve bound reads through `take`.
+        let long = "x".repeat(3 * MAX_PREALLOC + 1);
+        let back: String = read_from(&mut TrickleReader(&to_bytes(&long))).unwrap();
+        assert_eq!(back, long);
+    }
+
+    #[test]
+    fn write_errors_are_reported() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(matches!(
+            write_to(&mut Full, &vec![1u8, 2, 3]),
+            Err(WireError::Io(_))
+        ));
     }
 
     #[test]
@@ -429,6 +693,170 @@ mod tests {
         assert!(matches!(
             from_bytes::<u32>(&bytes),
             Err(WireError::Model(_))
+        ));
+        assert!(matches!(
+            from_bytes::<u64>(&to_bytes(&true)),
+            Err(WireError::Model(_))
+        ));
+        assert!(matches!(
+            from_bytes::<Vec<u8>>(&to_bytes(&())),
+            Err(WireError::Model(_))
+        ));
+        assert!(matches!(
+            from_bytes::<u8>(&to_bytes(&300u32)),
+            Err(WireError::Model(_))
+        ));
+        assert!(matches!(
+            from_bytes::<u8>(&to_bytes(&-1i32)),
+            Err(WireError::Model(_))
+        ));
+        assert!(matches!(
+            from_bytes::<char>(&bytes),
+            Err(WireError::Model(_))
+        ));
+        // Trailing bytes after a shape mismatch are still malformed.
+        let mut padded = bytes;
+        padded.push(TAG_UNIT);
+        assert!(matches!(
+            from_bytes::<u32>(&padded),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    // --- hand-encoded payloads for the decoder's rules --------------------
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Pair {
+        a: u32,
+        b: bool,
+    }
+
+    fn header(tag: u8, len: usize) -> Vec<u8> {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&(len as u64).to_le_bytes());
+        bytes
+    }
+
+    /// A length-prefixed name (a field name, or a variant's after its tag).
+    fn name(text: &str) -> Vec<u8> {
+        let mut bytes = (text.len() as u64).to_le_bytes().to_vec();
+        bytes.extend_from_slice(text.as_bytes());
+        bytes
+    }
+
+    fn variant(text: &str) -> Vec<u8> {
+        let mut bytes = vec![TAG_VARIANT];
+        bytes.extend(name(text));
+        bytes
+    }
+
+    /// A record from already-encoded `(name, value)` pairs.
+    fn record(fields: &[(&str, Vec<u8>)]) -> Vec<u8> {
+        let mut bytes = header(TAG_RECORD, fields.len());
+        for (field, value) in fields {
+            bytes.extend(name(field));
+            bytes.extend_from_slice(value);
+        }
+        bytes
+    }
+
+    #[test]
+    fn records_decode_shuffled_with_unknown_and_repeated_fields() {
+        let nested_unknown = {
+            let mut bytes = header(TAG_MAP, 1);
+            bytes.extend(to_bytes(&"k".to_string()));
+            bytes.extend(record(&[("deep", to_bytes(&vec![Some(1u8), None]))]));
+            bytes
+        };
+        let bytes = record(&[
+            ("b", to_bytes(&true)),
+            ("extra", nested_unknown),
+            ("a", to_bytes(&9u32)),
+            ("a", to_bytes(&"ignored".to_string())),
+        ]);
+        let expected = Pair { a: 9, b: true };
+        assert_eq!(from_bytes::<Pair>(&bytes).unwrap(), expected);
+        assert_eq!(
+            read_from::<_, Pair>(&mut bytes.as_slice()).unwrap(),
+            expected
+        );
+    }
+
+    #[test]
+    fn missing_fields_unknown_variants_and_wrong_arities_are_model_errors() {
+        let missing = record(&[("a", to_bytes(&1u32))]);
+        assert!(matches!(
+            from_bytes::<Pair>(&missing),
+            Err(WireError::Model(_))
+        ));
+
+        let mut unknown = variant("Other");
+        unknown.push(TAG_UNIT);
+        assert!(matches!(
+            from_bytes::<Shape>(&unknown),
+            Err(WireError::Model(_))
+        ));
+
+        let mut arity = variant("Pair");
+        arity.extend(to_bytes(&(1u8, 2i8, 3u8)));
+        assert!(matches!(
+            from_bytes::<Shape>(&arity),
+            Err(WireError::Model(_))
+        ));
+        let triple = to_bytes(&(1u8, 2u8, 3u8));
+        assert!(matches!(
+            from_bytes::<(u8, u8)>(&triple),
+            Err(WireError::Model(_))
+        ));
+    }
+
+    #[test]
+    fn a_shape_error_then_truncation_is_malformed() {
+        // `a` holds a string, so `Pair` fails on shape first; the record
+        // is then cut short inside `b`.
+        let mut bytes = record(&[("a", to_bytes(&"x".to_string())), ("b", to_bytes(&true))]);
+        bytes.pop();
+        assert!(matches!(
+            from_bytes::<Pair>(&bytes),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            read_from::<_, Pair>(&mut bytes.as_slice()),
+            Err(WireError::Malformed(_))
+        ));
+        // The same for a nested variant whose name is already wrong.
+        let mut nested = variant("Nope");
+        nested.extend(header(TAG_SEQ, 2));
+        nested.extend(to_bytes(&1u8));
+        assert!(matches!(
+            from_bytes::<Shape>(&nested),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            read_from::<_, Shape>(&mut nested.as_slice()),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_deep_variant_chain_in_an_unknown_field_is_malformed() {
+        let mut chain = Vec::new();
+        for _ in 0..100_000 {
+            chain.extend(variant("v"));
+        }
+        chain.push(TAG_UNIT);
+        let bytes = record(&[
+            ("zz", chain),
+            ("a", to_bytes(&1u32)),
+            ("b", to_bytes(&false)),
+        ]);
+        assert!(matches!(
+            from_bytes::<Pair>(&bytes),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            read_from::<_, Pair>(&mut bytes.as_slice()),
+            Err(WireError::Malformed(_))
         ));
     }
 }
